@@ -112,33 +112,6 @@ let no_closed_form_arg =
           "Disable the closed-form spectrum dispatch: always run the \
            numeric eigensolve, even on recognized graph families.")
 
-(* Chebyshev filter degree policy for sparse eigensolves: the adaptive
-   tuner by default, or a pinned integer degree.  Offered on every
-   subcommand that can reach the sparse numeric tier. *)
-let filter_degree_conv =
-  let parse s =
-    match Graphio_la.Filtered.degree_of_string s with
-    | Some d -> Ok d
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "%S: expected auto or an integer degree >= 2" s))
-  in
-  let print ppf d =
-    Format.pp_print_string ppf (Graphio_la.Filtered.degree_name d)
-  in
-  Arg.conv (parse, print)
-
-let filter_degree_arg =
-  Arg.(
-    value
-    & opt filter_degree_conv Graphio_la.Filtered.Auto
-    & info [ "filter-degree" ] ~docv:"POLICY"
-        ~doc:
-          "Chebyshev filter degree for sparse eigensolves: $(b,auto) \
-           (re-tuned every sweep from the observed residual decay, the \
-           default) or a fixed integer >= 2.")
-
 (* Ritz warm starts are on by default for the cached tiers (batch/serve):
    a cache miss seeds its initial block from locked Ritz vectors of a
    related solve at a different h.  The flag opts out, restoring bitwise
@@ -307,10 +280,6 @@ let portfolio_arg =
           "Comma-separated member set for $(b,--method portfolio) (default: \
            every concrete method).")
 
-let backend_name = function
-  | Graphio_la.Eigen.Dense -> "dense"
-  | Graphio_la.Eigen.Sparse_filtered -> "filtered"
-
 (* Per-component provenance of a decomposed bound, between the method and
    headline lines.  Identical whether the graph arrived as a text edge
    list (decomposed by Solver.bound) or a binary store (decomposed by
@@ -328,7 +297,8 @@ let print_components (o : Solver.outcome) =
       | Solver.Closed_form family ->
           Printf.sprintf "closed form %s" (Graphio_recognize.Recognize.name family)
       | Solver.Numeric ->
-          Printf.sprintf "numeric (%s)" (backend_name c.Solver.comp_backend)
+          Printf.sprintf "numeric (%s)"
+            (Graphio_server.Protocol.backend_name c.Solver.comp_backend)
     in
     Printf.printf "  component %d: n=%d edges=%d %s%s\n" i c.Solver.comp_n
       c.Solver.comp_edges tier_s
@@ -374,8 +344,7 @@ let print_portfolio (o : Solver.outcome) =
   | Some w -> Printf.printf "winner: %s\n" (method_name w)
   | None -> ()
 
-let bound spec file m h p method_str portfolio_str filter_degree
-    no_closed_form faults obs =
+let bound spec file m h p method_str portfolio_str no_closed_form faults obs =
   handle obs @@ fun () ->
   apply_faults faults;
   let method_ = parse_method method_str in
@@ -395,13 +364,12 @@ let bound spec file m h p method_str portfolio_str filter_degree
         ( ( Graphio_store.Store.n_vertices st,
             Graphio_store.Store.n_edges st,
             Graphio_store.Store.max_out_degree st ),
-          Solver.bound_parts ~method_ ?portfolio ~h ~p ~filter_degree
-            ~closed_form parts ~m )
+          Solver.bound_parts ~method_ ?portfolio ~h ~p ~closed_form parts
+            ~m )
     | _ ->
         let g = load_graph ~spec ~file in
         ( (Dag.n_vertices g, Dag.n_edges g, Dag.max_out_degree g),
-          Solver.bound ~method_ ?portfolio ~h ~p ~filter_degree ~closed_form g
-            ~m )
+          Solver.bound ~method_ ?portfolio ~h ~p ~closed_form g ~m )
   in
   let b = o.Solver.result in
   Printf.printf "graph: n=%d m_edges=%d max_out_degree=%d\n" gn gm gdmax;
@@ -452,8 +420,7 @@ let bound_cmd =
     Term.(
       ret
         (const bound $ spec_arg $ file_arg $ m_arg $ h $ p $ method_name
-        $ portfolio_arg $ filter_degree_arg $ no_closed_form_arg $ faults_arg
-        $ obs_term))
+        $ portfolio_arg $ no_closed_form_arg $ faults_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* baseline                                                            *)
@@ -539,9 +506,7 @@ let spectrum spec file h normalized obs =
   Printf.printf "# %s Laplacian, %d smallest eigenvalues (%s backend)\n"
     (if normalized then "out-degree-normalized" else "standard")
     (Array.length s.Graphio_la.Eigen.values)
-    (match s.Graphio_la.Eigen.backend with
-    | Graphio_la.Eigen.Dense -> "dense"
-    | Graphio_la.Eigen.Sparse_filtered -> "lanczos");
+    (Graphio_server.Protocol.backend_name s.Graphio_la.Eigen.backend);
   Array.iter (fun l -> Printf.printf "%.10g\n" l) s.Graphio_la.Eigen.values
 
 let spectrum_cmd =
@@ -690,9 +655,10 @@ let sweep_cmd =
 (* batch                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Jobs file: one job per line, [SPEC m=M [p=P] [method=normalized|standard]];
-   blank lines and [#] comments are skipped.  SPEC is a generator spec
-   (fft:6, er:200:0.05, ...) or [file:PATH] for an edge-list file. *)
+(* Jobs file: one job per line, [SPEC m=M [p=P] [method=METHOD]] with
+   METHOD any name in Method.expected; blank lines and [#] comments are
+   skipped.  SPEC is a generator spec (fft:6, er:200:0.05, ...) or
+   [file:PATH] for an edge-list file or binary store. *)
 let parse_job_line ~path ~lineno line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then None
@@ -746,11 +712,7 @@ let parse_job_line ~path ~lineno line =
         Some (spec, Solver.job ~method_:!method_ ?p:!p g ~m)
   end
 
-let batch path njobs h dense_threshold cache_dir portfolio_str filter_degree
-    no_warm_start no_closed_form faults obs =
-  handle obs @@ fun () ->
-  apply_faults faults;
-  let portfolio = parse_portfolio portfolio_str in
+let load_jobs path =
   let lines = In_channel.with_open_text path In_channel.input_lines in
   let entries =
     List.mapi (fun i line -> parse_job_line ~path ~lineno:(i + 1) line) lines
@@ -759,103 +721,24 @@ let batch path njobs h dense_threshold cache_dir portfolio_str filter_degree
   in
   if Array.length entries = 0 then
     raise (Invalid_argument (Printf.sprintf "%s: no jobs" path));
-  let specs = Array.map fst entries and jobs = Array.map snd entries in
+  (Array.map fst entries, Array.map snd entries)
+
+(* [-j 0], the default, means GRAPHIO_POOL or the core count *)
+let pool_size njobs =
   let njobs = if njobs = 0 then Graphio_par.Pool.default_size () else njobs in
   if njobs < 1 then raise (Invalid_argument "-j: need at least 1");
-  let cache =
-    Option.map (fun dir -> Graphio_cache.Spectrum.create ~dir ()) cache_dir
-  in
-  let run pool =
-    Solver.bound_batch ?cache ?pool ?portfolio ~h ?dense_threshold
-      ~filter_degree ~warm_start:(not no_warm_start)
-      ~closed_form:(not no_closed_form) jobs
-  in
-  let results =
-    if njobs = 1 then run None
-    else
-      Graphio_par.Pool.with_pool ~size:njobs (fun pool -> run (Some pool))
-  in
-  Array.iteri
-    (fun i r ->
-      let j = r.Solver.job and o = r.Solver.outcome in
-      let b = o.Solver.result in
-      let open Graphio_obs.Jsonx in
-      let fields =
-        [
-          ("spec", String specs.(i));
-          ("n", Int (Dag.n_vertices j.Solver.dag));
-          ("edges", Int (Dag.n_edges j.Solver.dag));
-          ("m", Int j.Solver.m);
-          ("p", Int (Option.value j.Solver.p ~default:1));
-          ("method", String (method_name j.Solver.method_));
-          ("h", Int (Array.length o.Solver.eigenvalues));
-          ("bound", Float b.Spectral_bound.bound);
-          ("best_k", Int b.Spectral_bound.best_k);
-          ("best_raw", Float b.Spectral_bound.best_raw);
-          ("backend", String (backend_name o.Solver.backend));
-          ("tier", String (Solver.tier_name o.Solver.tier));
-          ("cache_hit", Bool r.Solver.cache_hit);
-          ("warm_start", Bool o.Solver.warm_start);
-          ("wall_s", Float r.Solver.wall_s);
-        ]
-      in
-      (* per-component provenance, present only when the job decomposed *)
-      let fields =
-        if Array.length o.Solver.components = 0 then fields
-        else
-          fields
-          @ [
-              ( "components",
-                List
-                  (Array.to_list
-                     (Array.map
-                        (fun c ->
-                          Obj
-                            [
-                              ("n", Int c.Solver.comp_n);
-                              ("edges", Int c.Solver.comp_edges);
-                              ("tier", String (Solver.tier_name c.Solver.comp_tier));
-                              ("cache_hit", Bool c.Solver.comp_cache_hit);
-                            ])
-                        o.Solver.components)) );
-            ]
-      in
-      (* per-member values and the winner, present only on portfolio jobs
-         (no per-member wall times on the wire: only the aggregate) *)
-      let fields =
-        if Array.length o.Solver.methods = 0 then fields
-        else
-          fields
-          @ [
-              ( "methods",
-                List
-                  (Array.to_list
-                     (Array.map
-                        (fun mv ->
-                          Obj
-                            [
-                              ("method", String (method_name mv.Solver.mv_method));
-                              ("bound", Float mv.Solver.mv_bound);
-                              ("best_k", Int mv.Solver.mv_best_k);
-                              ("tier", String (Solver.tier_name mv.Solver.mv_tier));
-                              ("cache_hit", Bool mv.Solver.mv_cache_hit);
-                              ("warm_start", Bool mv.Solver.mv_warm_start);
-                            ])
-                        o.Solver.methods)) );
-            ]
-          @
-          match o.Solver.winner with
-          | Some w -> [ ("winner", String (method_name w)) ]
-          | None -> []
-      in
-      print_endline (to_string (Obj fields)))
-    results
+  njobs
 
-let batch_cmd =
+let dense_threshold_arg =
+  Arg.(value & opt (some int) None & info [ "dense-threshold" ] ~docv:"N"
+         ~doc:"Largest n solved by the dense eigensolver.")
+
+(* batch and report: the flags that evaluate a jobs file in one
+   Solver.bound_batch call.  The term's value runs the jobs, each first
+   rewritten by [retarget], and returns their specs and results. *)
+let jobs_term ~doc ~cache_doc =
   let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"JOBS"
-           ~doc:"Jobs file: one $(b,SPEC m=M [p=P] [method=METHOD]) per line; \
-                 blank lines and # comments ignored.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"JOBS" ~doc)
   in
   let njobs =
     Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
@@ -866,24 +749,62 @@ let batch_cmd =
     Arg.(value & opt int 100 & info [ "eigenvalues" ] ~docv:"H"
            ~doc:"Number of smallest eigenvalues per spectrum.")
   in
-  let dense_threshold =
-    Arg.(value & opt (some int) None & info [ "dense-threshold" ] ~docv:"N"
-           ~doc:"Largest n solved by the dense eigensolver.")
-  in
   let cache_dir =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist computed spectra to a disk cache in $(docv) (also \
-                 read from it).  Defaults to $(b,GRAPHIO_CACHE_DIR) when set; \
-                 caching is off otherwise.")
+           ~doc:cache_doc)
   in
+  let run path njobs h dense_threshold cache_dir portfolio_str no_warm_start
+      no_closed_form retarget =
+    let portfolio = parse_portfolio portfolio_str in
+    let specs, jobs = load_jobs path in
+    let jobs = Array.map retarget jobs in
+    let njobs = pool_size njobs in
+    let cache =
+      Option.map (fun dir -> Graphio_cache.Spectrum.create ~dir ()) cache_dir
+    in
+    let evaluate pool =
+      Solver.bound_batch ?cache ?pool ?portfolio ~h ?dense_threshold
+        ~warm_start:(not no_warm_start) ~closed_form:(not no_closed_form) jobs
+    in
+    ( specs,
+      if njobs = 1 then evaluate None
+      else
+        Graphio_par.Pool.with_pool ~size:njobs (fun pool ->
+            evaluate (Some pool)) )
+  in
+  Term.(
+    const run $ path $ njobs $ h $ dense_threshold_arg $ cache_dir
+    $ portfolio_arg $ no_warm_start_arg $ no_closed_form_arg)
+
+let batch run faults obs =
+  handle obs @@ fun () ->
+  apply_faults faults;
+  let specs, results = run Fun.id in
+  Array.iteri
+    (fun i r ->
+      let open Graphio_obs.Jsonx in
+      print_endline
+        (to_string
+           (Obj
+              (("spec", String specs.(i))
+              :: Graphio_server.Protocol.answer_fields r))))
+    results
+
+let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Evaluate many spectral bounds concurrently (JSON lines on stdout)")
     Term.(
       ret
-        (const batch $ path $ njobs $ h $ dense_threshold $ cache_dir
-        $ portfolio_arg $ filter_degree_arg $ no_warm_start_arg
-        $ no_closed_form_arg $ faults_arg $ obs_term))
+        (const batch
+        $ jobs_term
+            ~doc:"Jobs file: one $(b,SPEC m=M [p=P] [method=METHOD]) per line; \
+                  blank lines and # comments ignored."
+            ~cache_doc:"Persist computed spectra to a disk cache in $(docv) \
+                        (also read from it).  Defaults to \
+                        $(b,GRAPHIO_CACHE_DIR) when set; caching is off \
+                        otherwise."
+        $ faults_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* report                                                              *)
@@ -893,41 +814,13 @@ let batch_cmd =
    (a method= key in the file is ignored — report always compares), the
    table shows each member's bound per job, and the note tallies how
    often each member won. *)
-let report path njobs h dense_threshold cache_dir portfolio_str filter_degree
-    no_warm_start no_closed_form faults obs =
+let report run faults obs =
   handle obs @@ fun () ->
   apply_faults faults;
-  let portfolio = parse_portfolio portfolio_str in
-  let lines = In_channel.with_open_text path In_channel.input_lines in
-  let entries =
-    List.mapi (fun i line -> parse_job_line ~path ~lineno:(i + 1) line) lines
-    |> List.filter_map Fun.id
-    |> Array.of_list
-  in
-  if Array.length entries = 0 then
-    raise (Invalid_argument (Printf.sprintf "%s: no jobs" path));
-  let specs = Array.map fst entries in
-  let jobs =
-    Array.map
-      (fun (_, j) ->
+  let specs, results =
+    run (fun j ->
         Solver.job ~method_:Solver.Portfolio ?p:j.Solver.p j.Solver.dag
           ~m:j.Solver.m)
-      entries
-  in
-  let njobs = if njobs = 0 then Graphio_par.Pool.default_size () else njobs in
-  if njobs < 1 then raise (Invalid_argument "-j: need at least 1");
-  let cache =
-    Option.map (fun dir -> Graphio_cache.Spectrum.create ~dir ()) cache_dir
-  in
-  let run pool =
-    Solver.bound_batch ?cache ?pool ?portfolio ~h ?dense_threshold
-      ~filter_degree ~warm_start:(not no_warm_start)
-      ~closed_form:(not no_closed_form) jobs
-  in
-  let results =
-    if njobs = 1 then run None
-    else
-      Graphio_par.Pool.with_pool ~size:njobs (fun pool -> run (Some pool))
   in
   let members = results.(0).Solver.outcome.Solver.methods in
   let columns =
@@ -968,37 +861,18 @@ let report path njobs h dense_threshold cache_dir portfolio_str filter_degree
   Graphio_core.Report.print table
 
 let report_cmd =
-  let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"JOBS"
-           ~doc:"Jobs file, as for $(b,graphio batch); every job runs the \
-                 portfolio regardless of its method= key.")
-  in
-  let njobs =
-    Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domain-pool size (1 = sequential).  Defaults to \
-                 $(b,GRAPHIO_POOL) or the core count.")
-  in
-  let h =
-    Arg.(value & opt int 100 & info [ "eigenvalues" ] ~docv:"H"
-           ~doc:"Number of smallest eigenvalues per spectrum.")
-  in
-  let dense_threshold =
-    Arg.(value & opt (some int) None & info [ "dense-threshold" ] ~docv:"N"
-           ~doc:"Largest n solved by the dense eigensolver.")
-  in
-  let cache_dir =
-    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persist computed spectra to a disk cache in $(docv).")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Run the full bound portfolio over a jobs file and tabulate \
              per-method bounds and winners")
     Term.(
       ret
-        (const report $ path $ njobs $ h $ dense_threshold $ cache_dir
-        $ portfolio_arg $ filter_degree_arg $ no_warm_start_arg
-        $ no_closed_form_arg $ faults_arg $ obs_term))
+        (const report
+        $ jobs_term
+            ~doc:"Jobs file, as for $(b,graphio batch); every job runs the \
+                  portfolio regardless of its method= key."
+            ~cache_doc:"Persist computed spectra to a disk cache in $(docv)."
+        $ faults_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -1032,7 +906,7 @@ let tcp_arg =
          ~doc:"Use TCP instead of the Unix socket.")
 
 let serve socket tcp njobs h dense_threshold timeout cache_dir cache_cap
-    portfolio_str filter_degree no_warm_start no_closed_form faults obs =
+    portfolio_str no_warm_start no_closed_form faults obs =
   handle obs @@ fun () ->
   apply_faults faults;
   let portfolio = parse_portfolio portfolio_str in
@@ -1045,19 +919,16 @@ let serve socket tcp njobs h dense_threshold timeout cache_dir cache_cap
         | Some c -> c
         | None -> Graphio_cache.Spectrum.create ?capacity:cache_cap ())
   in
-  let njobs = if njobs = 0 then Graphio_par.Pool.default_size () else njobs in
-  if njobs < 1 then raise (Invalid_argument "-j: need at least 1");
   let cfg =
     {
       Graphio_server.Server.transport;
-      pool_size = njobs;
+      pool_size = pool_size njobs;
       cache;
       timeout_s = timeout;
       h;
       dense_threshold;
       closed_form = not no_closed_form;
       warm_start = not no_warm_start;
-      filter_degree;
       portfolio;
     }
   in
@@ -1079,10 +950,6 @@ let serve_cmd =
     Arg.(value & opt int 100 & info [ "eigenvalues" ] ~docv:"H"
            ~doc:"Default number of smallest eigenvalues per spectrum \
                  (requests may override with \"h\").")
-  in
-  let dense_threshold =
-    Arg.(value & opt (some int) None & info [ "dense-threshold" ] ~docv:"N"
-           ~doc:"Largest n solved by the dense eigensolver.")
   in
   let timeout =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
@@ -1106,9 +973,9 @@ let serve_cmd =
        ~doc:"Serve spectral bounds over a socket (newline-delimited JSON)")
     Term.(
       ret
-        (const serve $ socket_arg $ tcp_arg $ njobs $ h $ dense_threshold
-        $ timeout $ cache_dir $ cache_cap $ portfolio_arg $ filter_degree_arg
-        $ no_warm_start_arg $ no_closed_form_arg $ faults_arg $ obs_term))
+        (const serve $ socket_arg $ tcp_arg $ njobs $ h $ dense_threshold_arg
+        $ timeout $ cache_dir $ cache_cap $ portfolio_arg $ no_warm_start_arg
+        $ no_closed_form_arg $ faults_arg $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

@@ -85,8 +85,31 @@ let surrogate_offset ~method_ g =
   | Signless -> 2.0 *. float_of_int (min_degree g - Dag.max_degree g)
   | Visit | Portfolio -> 0.0
 
-let spectrum_full ?(method_ = Normalized) ?(h = 100) ?dense_threshold ?tol ?seed
-    ?filter_degree ?kernel ?init ?want_vectors ?on_iteration ?pool g =
+(* What the evaluation below the public entry points needs besides the
+   requests themselves, built once per call: a new setting is one field
+   here plus the entry points that expose it. *)
+type settings = {
+  cache : Graphio_cache.Spectrum.t;
+  pool : Graphio_par.Pool.t option;
+  on_iteration : Convergence.callback option;
+  h : int;
+  dense_threshold : int option;
+  warm_start : bool;
+  closed_form : bool;
+}
+
+let defaults =
+  {
+    cache = Graphio_cache.Spectrum.disabled;
+    pool = None;
+    on_iteration = None;
+    h = 100;
+    dense_threshold = None;
+    warm_start = false;
+    closed_form = true;
+  }
+
+let spectrum_full s ~method_ ?init g =
   let laplacian =
     Graphio_obs.Span.with_ "solver.laplacian" (fun () ->
         match method_ with
@@ -101,8 +124,9 @@ let spectrum_full ?(method_ = Normalized) ?(h = 100) ?dense_threshold ?tol ?seed
   in
   let spec =
     Graphio_obs.Span.with_ "solver.eigensolve" (fun () ->
-        Eigen.smallest ~h ?dense_threshold ?tol ?seed ?filter_degree ?kernel
-          ?init ?want_vectors ?on_iteration ?pool laplacian)
+        Eigen.smallest ~h:s.h ?dense_threshold:s.dense_threshold ?init
+          ~want_vectors:s.warm_start ?on_iteration:s.on_iteration ?pool:s.pool
+          laplacian)
   in
   let scale =
     match method_ with
@@ -125,10 +149,8 @@ let spectrum_full ?(method_ = Normalized) ?(h = 100) ?dense_threshold ?tol ?seed
   in
   (values, spec.Eigen.backend, spec.Eigen.stats, spec.Eigen.vectors)
 
-let spectrum ?method_ ?h ?dense_threshold ?tol ?seed ?pool g =
-  let eigenvalues, backend, _, _ =
-    spectrum_full ?method_ ?h ?dense_threshold ?tol ?seed ?pool g
-  in
+let spectrum ?(method_ = Normalized) ?(h = 100) g =
+  let eigenvalues, backend, _, _ = spectrum_full { defaults with h } ~method_ g in
   (eigenvalues, backend)
 
 (* ------------------------------------------------------------------ *)
@@ -295,24 +317,22 @@ let bound_of_spectrum_all_k ?(p = 1) ~spectrum ~scale ~n ~m () =
 (* ------------------------------------------------------------------ *)
 (* Spectrum cache plumbing                                             *)
 
-let method_char = Method.cache_char
-
-(* [Auto] is the solver default and its tuner is deterministic, so it
-   shares the canonical digest slot ([None]); only a pinned [Fixed d]
-   separates cache entries. *)
-let degree_digest = function
-  | None | Some Filtered.Auto -> None
-  | Some (Filtered.Fixed d) -> Some d
-
-let spectrum_key ?dense_threshold ?tol ?seed ?filter_degree ~h ~method_ dag =
+(* The tolerance, seed and filter degree always stay at the eigensolver
+   defaults, which [params_digest] encodes as [None]; only the dense
+   crossover varies. *)
+let cache_key ~method_tag ~dense_threshold ~h dag =
   {
     Graphio_cache.Spectrum.fingerprint = Dag.fingerprint dag;
-    method_tag = method_char method_;
+    method_tag;
     h;
     params =
-      Graphio_cache.Spectrum.params_digest ~dense_threshold ~tol ~seed
-        ~filter_degree:(degree_digest filter_degree);
+      Graphio_cache.Spectrum.params_digest ~dense_threshold ~tol:None
+        ~seed:None ~filter_degree:None;
   }
+
+let spectrum_key s ~method_ =
+  cache_key ~method_tag:(Method.cache_char method_)
+    ~dense_threshold:s.dense_threshold ~h:s.h
 
 let ritz_key_of (key : Graphio_cache.Spectrum.key) : Graphio_cache.Spectrum.ritz_key =
   {
@@ -326,15 +346,10 @@ let ritz_key_of (key : Graphio_cache.Spectrum.key) : Graphio_cache.Spectrum.ritz
    of the numeric solver knobs).  A [--no-closed-form] run therefore never
    reads bits a closed-form run cached, and vice versa: the differential
    battery's two tiers stay independent even under a shared disk cache. *)
-let closed_form_key ~h ~method_ dag =
-  {
-    Graphio_cache.Spectrum.fingerprint = Dag.fingerprint dag;
-    method_tag = Char.uppercase_ascii (method_char method_);
-    h;
-    params =
-      Graphio_cache.Spectrum.params_digest ~dense_threshold:None ~tol:None
-        ~seed:None ~filter_degree:None;
-  }
+let closed_form_key ~h ~method_ =
+  cache_key
+    ~method_tag:(Char.uppercase_ascii (Method.cache_char method_))
+    ~dense_threshold:None ~h
 
 let resolve_cache = function
   | Some cache -> cache
@@ -357,21 +372,19 @@ let resolve_cache = function
    converges to the same spectrum within tolerance but takes a different
    FP path than a cold one — the documented, flag-gated relaxation of
    the bitwise-determinism contract (docs/PERFORMANCE.md). *)
-let spectrum_cached ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
-    ?filter_degree ?kernel ?(warm_start = false) ?(closed_form = true) ~method_
-    dag =
+let spectrum_cached s ~method_ dag =
   if Dag.n_vertices dag = 0 then ([||], Eigen.Dense, None, false, Numeric, false)
   else
     match
-      if closed_form then closed_form_spectrum ~method_ ~h dag else None
+      if s.closed_form then closed_form_spectrum ~method_ ~h:s.h dag else None
     with
     | Some (family, eigenvalues) -> (
         (* the closed form is recomputed (it is cheap and deterministic);
            the cache is still consulted under the closed-form key so a
            repeat query reports a cache hit and a warm disk tier keeps
            replies bitwise-stable across processes *)
-        let key = closed_form_key ~h ~method_ dag in
-        match Graphio_cache.Spectrum.find cache key with
+        let key = closed_form_key ~h:s.h ~method_ dag in
+        match Graphio_cache.Spectrum.find s.cache key with
         | Some e ->
             record_closed_form ~family ~cache_hit:true;
             ( e.Graphio_cache.Spectrum.eigenvalues,
@@ -381,12 +394,12 @@ let spectrum_cached ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
               Closed_form family,
               false )
         | None ->
-            Graphio_cache.Spectrum.add cache key
+            Graphio_cache.Spectrum.add s.cache key
               { Graphio_cache.Spectrum.eigenvalues; dense = true };
             record_closed_form ~family ~cache_hit:false;
             (eigenvalues, Eigen.Dense, None, false, Closed_form family, false))
     | None -> begin
-    let key = spectrum_key ?dense_threshold ?tol ?seed ?filter_degree ~h ~method_ dag in
+    let key = spectrum_key s ~method_ dag in
     let log_spectrum ~cache_hit ~warm =
       if Graphio_obs.Log.enabled Graphio_obs.Log.Debug then
         Graphio_obs.Log.emit ~level:Graphio_obs.Log.Debug "solver.spectrum"
@@ -396,13 +409,14 @@ let spectrum_cached ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
                 (Printf.sprintf "%016Lx" key.Graphio_cache.Spectrum.fingerprint)
             );
             ( "method",
-              Graphio_obs.Jsonx.String (String.make 1 (method_char method_)) );
-            ("h", Graphio_obs.Jsonx.Int h);
+              Graphio_obs.Jsonx.String
+                (String.make 1 (Method.cache_char method_)) );
+            ("h", Graphio_obs.Jsonx.Int s.h);
             ("cache_hit", Graphio_obs.Jsonx.Bool cache_hit);
             ("warm_start", Graphio_obs.Jsonx.Bool warm);
           ]
     in
-    match Graphio_cache.Spectrum.find cache key with
+    match Graphio_cache.Spectrum.find s.cache key with
     | Some e ->
         log_spectrum ~cache_hit:true ~warm:false;
         ( e.Graphio_cache.Spectrum.eigenvalues,
@@ -416,8 +430,8 @@ let spectrum_cached ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
         let rkey = ritz_key_of key in
         let n = Dag.n_vertices dag in
         let init, warm =
-          if warm_start then
-            match Graphio_cache.Spectrum.find_ritz cache rkey with
+          if s.warm_start then
+            match Graphio_cache.Spectrum.find_ritz s.cache rkey with
             | Some r when r.Graphio_cache.Spectrum.n = n ->
                 Graphio_obs.Metrics.incr c_warm_hits;
                 (Some r.Graphio_cache.Spectrum.vectors, true)
@@ -425,15 +439,14 @@ let spectrum_cached ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
           else (None, false)
         in
         let eigenvalues, backend, stats, vectors =
-          spectrum_full ~method_ ~h ?dense_threshold ?tol ?seed ?filter_degree
-            ?kernel ?init ~want_vectors:warm_start ?on_iteration ?pool dag
+          spectrum_full s ~method_ ?init dag
         in
-        Graphio_cache.Spectrum.add cache key
+        Graphio_cache.Spectrum.add s.cache key
           { Graphio_cache.Spectrum.eigenvalues; dense = backend = Eigen.Dense };
-        (if warm_start then
+        (if s.warm_start then
            match (vectors, backend) with
            | Some vs, Eigen.Sparse_filtered when Array.length vs > 0 ->
-               Graphio_cache.Spectrum.add_ritz cache rkey
+               Graphio_cache.Spectrum.add_ritz s.cache rkey
                  { Graphio_cache.Spectrum.n; h = Array.length vs; vectors = vs }
            | _ -> ());
         log_spectrum ~cache_hit:false ~warm;
@@ -511,6 +524,10 @@ let reflatten_parts parts =
 
 let c_decompositions = Graphio_obs.Metrics.counter "core.solver.decompositions"
 
+let maximize it eigenvalues =
+  Graphio_obs.Span.with_ "solver.maximize" (fun () ->
+      Spectral_bound.compute ~n:it.it_n ~m:it.it_m ?p:it.it_p ~eigenvalues ())
+
 (* Evaluate items against the cache.  All units of all items are flattened
    and deduplicated by spectrum key before any eigensolve — an M-sweep
    over one graph and the repeated components of a disjoint union share
@@ -519,8 +536,7 @@ let c_decompositions = Graphio_obs.Metrics.counter "core.solver.decompositions"
    pool to its matvecs).  Returns per-item [(outcome, cache_hit, wall_s)]
    plus the flat unit count and the number of spectra not answered from
    cache, for the batch hit/miss counters. *)
-let eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
-    ?filter_degree ?kernel ?warm_start ?(closed_form = true) items =
+let eval_items s items =
   let n_items = Array.length items in
   let offsets = Array.make (n_items + 1) 0 in
   for i = 0 to n_items - 1 do
@@ -539,9 +555,7 @@ let eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
   in
   let keys =
     Array.mapi
-      (fun i u ->
-        spectrum_key ?dense_threshold ?tol ?seed ?filter_degree ~h
-          ~method_:flat_method.(i) u.u_dag)
+      (fun i u -> spectrum_key s ~method_:flat_method.(i) u.u_dag)
       flat_units
   in
   let rep_of_key = Hashtbl.create (max n_flat 16) in
@@ -558,13 +572,11 @@ let eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
   let spectra =
     Array.make n_reps ([||], Eigen.Dense, None, false, Numeric, false, 0.0)
   in
-  let solve ?pool r =
+  let solve s r =
     let u = flat_units.(reps.(r)) in
     let t0 = Graphio_obs.Clock.now_ns () in
     let eigenvalues, backend, stats, from_cache, tier, warm =
-      spectrum_cached ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol
-        ?seed ?filter_degree ?kernel ?warm_start ~closed_form
-        ~method_:flat_method.(reps.(r)) u.u_dag
+      spectrum_cached s ~method_:flat_method.(reps.(r)) u.u_dag
     in
     spectra.(r) <-
       ( eigenvalues,
@@ -575,17 +587,14 @@ let eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
         warm,
         Graphio_obs.Clock.elapsed_s t0 )
   in
-  (match pool with
+  (match s.pool with
   | Some pool when n_reps > 1 ->
+      let s = { s with pool = None } in
       Graphio_par.Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:n_reps (fun r ->
-          solve r)
-  | Some pool ->
+          solve s r)
+  | _ ->
       for r = 0 to n_reps - 1 do
-        solve ~pool r
-      done
-  | None ->
-      for r = 0 to n_reps - 1 do
-        solve r
+        solve s r
       done);
   let misses = ref 0 in
   Array.iter
@@ -603,9 +612,7 @@ let eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
     let nu = Array.length it.it_units in
     if nu = 0 then
       ( {
-          result =
-            Spectral_bound.compute ~n:it.it_n ~m:it.it_m ?p:it.it_p
-              ~eigenvalues:[||] ();
+          result = maximize it [||];
           method_ = it.it_method;
           backend = Eigen.Dense;
           eigenvalues = [||];
@@ -649,12 +656,10 @@ let eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
                     urs))
           in
           Array.sort Float.compare merged;
-          Array.sub merged 0 (min (min h it.it_n) (Array.length merged))
+          Array.sub merged 0 (min (min s.h it.it_n) (Array.length merged))
         end
       in
-      let result =
-        Spectral_bound.compute ~n:it.it_n ~m:it.it_m ?p:it.it_p ~eigenvalues ()
-      in
+      let result = maximize it eigenvalues in
       let backend =
         if not decomposed then backend0
         else if
@@ -750,18 +755,11 @@ let members_of ~portfolio method_ =
       Array.of_list ms
   | m -> [| m |]
 
-let request_of_dag ~decompose ~portfolio ~method_ ~m ~p g =
-  {
-    rq_parts = parts_of_dag ~decompose g;
-    rq_n = Dag.n_vertices g;
-    rq_m = m;
-    rq_p = p;
-    rq_method = method_;
-    rq_members = members_of ~portfolio method_;
-  }
-
-let request_of_parts ~portfolio ~method_ ~m ~p parts =
-  let parts = reflatten_parts parts in
+let request ~portfolio ~method_ ~m ~p parts =
+  (* checked before any member runs, so every method rejects it alike *)
+  (match p with
+  | Some p when p < 1 -> invalid_arg "Solver: p must be >= 1"
+  | _ -> ());
   {
     rq_parts = parts;
     rq_n = Array.fold_left (fun acc g -> acc + Dag.n_vertices g) 0 parts;
@@ -770,6 +768,9 @@ let request_of_parts ~portfolio ~method_ ~m ~p parts =
     rq_method = method_;
     rq_members = members_of ~portfolio method_;
   }
+
+let request_of_dag ~decompose ~portfolio ~method_ ~m ~p g =
+  request ~portfolio ~method_ ~m ~p (parts_of_dag ~decompose g)
 
 let h_visit_seconds = Graphio_obs.Metrics.histogram "core.solver.visit_seconds"
 
@@ -881,8 +882,7 @@ let assemble_portfolio rq member_results =
    evaluated combinatorially with per-fingerprint profile memoization
    (the profile is M-independent, so an M-sweep pays for its flow
    computations once). *)
-let eval_requests ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
-    ?filter_degree ?kernel ?warm_start ?(closed_form = true) reqs =
+let eval_requests s reqs =
   let items = ref [] and backptr = ref [] in
   Array.iteri
     (fun ri rq ->
@@ -904,10 +904,7 @@ let eval_requests ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
     reqs;
   let items = Array.of_list (List.rev !items) in
   let backptr = Array.of_list (List.rev !backptr) in
-  let spectral_results, n_flat, misses =
-    eval_items ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
-      ?filter_degree ?kernel ?warm_start ~closed_form items
-  in
+  let spectral_results, n_flat, misses = eval_items s items in
   let by_slot = Hashtbl.create 16 in
   Array.iteri
     (fun i bp -> Hashtbl.replace by_slot bp spectral_results.(i))
@@ -950,38 +947,28 @@ let eval_requests ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol ?seed
   in
   (results, n_flat, misses)
 
-let bound ?(method_ = Normalized) ?portfolio ?(h = 100) ?p ?dense_threshold
-    ?tol ?seed ?filter_degree ?kernel ?on_iteration ?pool
-    ?(closed_form = true) ?(decompose = true) g ~m =
+(* The plain entry points: one request, timed and spanned as
+   [solver.bound].  They keep [defaults.cache], which is [disabled], not
+   [ambient]: they never touch a cache (nor move its metrics), while
+   in-flight dedup of repeated components still happens through the flat
+   key table. *)
+let bound_one s make_request =
   Graphio_obs.Metrics.time h_bound_seconds (fun () ->
       Graphio_obs.Span.with_ "solver.bound" (fun () ->
           Graphio_obs.Metrics.incr c_bounds;
-          let rq = request_of_dag ~decompose ~portfolio ~method_ ~m ~p g in
-          (* [disabled], not [ambient]: the plain entry point never touches
-             a cache (and never moves its metrics) — in-flight dedup of
-             repeated components still happens through the flat key table *)
-          let results, _, _ =
-            eval_requests ~cache:Graphio_cache.Spectrum.disabled ?pool
-              ?on_iteration ~h ?dense_threshold ?tol ?seed ?filter_degree
-              ?kernel ~closed_form [| rq |]
-          in
+          let results, _, _ = eval_requests s [| make_request () |] in
           let outcome, _, _ = results.(0) in
           outcome))
 
-let bound_parts ?(cache = Graphio_cache.Spectrum.disabled) ?pool
-    ?(method_ = Normalized) ?portfolio ?(h = 100) ?p ?dense_threshold ?tol
-    ?seed ?filter_degree ?kernel ?warm_start ?on_iteration
+let bound ?(method_ = Normalized) ?portfolio ?(h = 100) ?p ?dense_threshold
+    ?pool ?(closed_form = true) ?(decompose = true) g ~m =
+  bound_one { defaults with pool; h; dense_threshold; closed_form } (fun () ->
+      request_of_dag ~decompose ~portfolio ~method_ ~m ~p g)
+
+let bound_parts ?(method_ = Normalized) ?portfolio ?(h = 100) ?p
     ?(closed_form = true) parts ~m =
-  Graphio_obs.Metrics.time h_bound_seconds (fun () ->
-      Graphio_obs.Span.with_ "solver.bound" (fun () ->
-          Graphio_obs.Metrics.incr c_bounds;
-          let rq = request_of_parts ~portfolio ~method_ ~m ~p parts in
-          let results, _, _ =
-            eval_requests ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol
-              ?seed ?filter_degree ?kernel ?warm_start ~closed_form [| rq |]
-          in
-          let outcome, _, _ = results.(0) in
-          outcome))
+  bound_one { defaults with h; closed_form } (fun () ->
+      request ~portfolio ~method_ ~m ~p (reflatten_parts parts))
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)
@@ -1008,11 +995,24 @@ let c_batch_misses = Graphio_obs.Metrics.counter "core.solver.batch_cache_misses
 let h_batch_job_seconds =
   Graphio_obs.Metrics.histogram "core.solver.batch_job_seconds"
 
-let bound_batch ?cache ?pool ?portfolio ?(h = 100) ?dense_threshold ?tol ?seed
-    ?filter_degree ?kernel ?warm_start ?(closed_form = true)
-    ?(decompose = true) jobs =
+let request_of_job ~portfolio j =
+  request_of_dag ~decompose:true ~portfolio ~method_:j.method_ ~m:j.m ~p:j.p
+    j.dag
+
+let bound_batch ?cache ?pool ?portfolio ?(h = 100) ?dense_threshold
+    ?(warm_start = false) ?(closed_form = true) jobs =
   Graphio_obs.Span.with_ "solver.bound_batch" (fun () ->
-      let cache = resolve_cache cache in
+      let s =
+        {
+          defaults with
+          cache = resolve_cache cache;
+          pool;
+          h;
+          dense_threshold;
+          warm_start;
+          closed_form;
+        }
+      in
       (* In-batch dedup happens on the flat unit table inside
          {!eval_items}: jobs that share (graph, method, h, params) — the
          typical M- or p-sweep, or the spectral members of portfolio
@@ -1023,16 +1023,8 @@ let bound_batch ?cache ?pool ?portfolio ?(h = 100) ?dense_threshold ?tol ?seed
          Output is deterministic regardless of pool presence, pool size,
          or cache warmth (bitwise-reproducible parallel matvec, bit-exact
          cache codec). *)
-      let reqs =
-        Array.map
-          (fun j ->
-            request_of_dag ~decompose ~portfolio ~method_:j.method_ ~m:j.m
-              ~p:j.p j.dag)
-          jobs
-      in
       let results, n_flat, misses =
-        eval_requests ~cache ?pool ~h ?dense_threshold ?tol ?seed
-          ?filter_degree ?kernel ?warm_start ~closed_form reqs
+        eval_requests s (Array.map (request_of_job ~portfolio) jobs)
       in
       Graphio_obs.Metrics.add c_batch_jobs (Array.length jobs);
       Graphio_obs.Metrics.add c_batch_misses misses;
@@ -1044,20 +1036,24 @@ let bound_batch ?cache ?pool ?portfolio ?(h = 100) ?dense_threshold ?tol ?seed
           { job = j; outcome; cache_hit; wall_s })
         jobs)
 
-let bound_cached ?cache ?pool ?portfolio ?(h = 100) ?dense_threshold ?tol
-    ?seed ?filter_degree ?kernel ?warm_start ?on_iteration
-    ?(closed_form = true) ?(decompose = true) job =
+let bound_cached ?cache ?pool ?portfolio ?(h = 100) ?dense_threshold
+    ?(warm_start = false) ?on_iteration ?(closed_form = true) job =
   Graphio_obs.Span.with_ "solver.bound_cached" (fun () ->
       Graphio_obs.Metrics.incr c_bounds;
-      let cache = resolve_cache cache in
-      let t0 = Graphio_obs.Clock.now_ns () in
-      let rq =
-        request_of_dag ~decompose ~portfolio ~method_:job.method_ ~m:job.m
-          ~p:job.p job.dag
+      let s =
+        {
+          cache = resolve_cache cache;
+          pool;
+          on_iteration;
+          h;
+          dense_threshold;
+          warm_start;
+          closed_form;
+        }
       in
+      let t0 = Graphio_obs.Clock.now_ns () in
       let results, _, _ =
-        eval_requests ~cache ?pool ?on_iteration ~h ?dense_threshold ?tol
-          ?seed ?filter_degree ?kernel ?warm_start ~closed_form [| rq |]
+        eval_requests s [| request_of_job ~portfolio job |]
       in
       let outcome, cache_hit, _ = results.(0) in
       let wall_s = Graphio_obs.Clock.elapsed_s t0 in

@@ -107,11 +107,6 @@ val bound :
   ?h:int ->
   ?p:int ->
   ?dense_threshold:int ->
-  ?tol:float ->
-  ?seed:int ->
-  ?filter_degree:Graphio_la.Filtered.degree ->
-  ?kernel:Graphio_la.Csr.kernel ->
-  ?on_iteration:Graphio_la.Convergence.callback ->
   ?pool:Graphio_par.Pool.t ->
   ?closed_form:bool ->
   ?decompose:bool ->
@@ -147,11 +142,11 @@ val bound :
 
     The whole pipeline runs inside nested {!Graphio_obs.Span} spans
     ([solver.bound] over [solver.recognize], [solver.laplacian],
-    [solver.eigensolve], [solver.maximize]) and is timed into the
-    [core.solver.bound_seconds] histogram; [on_iteration] streams
-    eigensolver convergence progress when the sparse path is taken.
-    [pool] parallelizes the sparse eigensolve's matvecs across domains;
-    the result is bitwise-identical with or without it (see
+    [solver.eigensolve], [solver.maximize] and, for [Visit],
+    [solver.visit_profile]) and is timed into the
+    [core.solver.bound_seconds] histogram.  [pool] parallelizes the
+    sparse eigensolve's matvecs across domains; the result is
+    bitwise-identical with or without it (see
     {!Graphio_la.Csr.matvec_into}).
 
     With [method_:Portfolio], every member (the [portfolio] list when
@@ -168,22 +163,13 @@ val bound :
     component), so the decomposed visit value can exceed the
     undecomposed one; spectral members merge spectra exactly as before.
     Raises [Invalid_argument] if [portfolio] is empty or contains
-    [Portfolio]. *)
+    [Portfolio], or if [p < 1] (whatever the method). *)
 
 val bound_parts :
-  ?cache:Graphio_cache.Spectrum.t ->
-  ?pool:Graphio_par.Pool.t ->
   ?method_:method_ ->
   ?portfolio:method_ list ->
   ?h:int ->
   ?p:int ->
-  ?dense_threshold:int ->
-  ?tol:float ->
-  ?seed:int ->
-  ?filter_degree:Graphio_la.Filtered.degree ->
-  ?kernel:Graphio_la.Csr.kernel ->
-  ?warm_start:bool ->
-  ?on_iteration:Graphio_la.Convergence.callback ->
   ?closed_form:bool ->
   Graphio_graph.Dag.t array ->
   m:int ->
@@ -198,19 +184,13 @@ val bound_parts :
     [bound (disjoint union) ~m] to eigensolver tolerance, with
     [outcome.components] in part order.  Empty parts contribute nothing.
 
-    [cache] defaults to {!Graphio_cache.Spectrum.disabled} — like
-    {!bound}, the plain entry point pays every eigensolve (in-flight
-    dedup of structurally equal components still applies); pass a cache
-    (or {!Graphio_cache.Spectrum.ambient}) to share spectra across
-    processes. *)
+    Like {!bound}, it never consults a spectrum cache: every distinct
+    component spectrum is solved once (in-flight dedup of structurally
+    equal components still applies). *)
 
 val spectrum :
   ?method_:method_ ->
   ?h:int ->
-  ?dense_threshold:int ->
-  ?tol:float ->
-  ?seed:int ->
-  ?pool:Graphio_par.Pool.t ->
   Graphio_graph.Dag.t ->
   float array * Graphio_la.Eigen.backend
 (** The (clamped, Theorem-5-scaled when [Standard], Weyl-surrogate
@@ -299,13 +279,8 @@ val bound_batch :
   ?portfolio:method_ list ->
   ?h:int ->
   ?dense_threshold:int ->
-  ?tol:float ->
-  ?seed:int ->
-  ?filter_degree:Graphio_la.Filtered.degree ->
-  ?kernel:Graphio_la.Csr.kernel ->
   ?warm_start:bool ->
   ?closed_form:bool ->
-  ?decompose:bool ->
   batch_job array ->
   batch_result array
 (** [bound_batch jobs] evaluates every job and returns results in input
@@ -325,8 +300,8 @@ val bound_batch :
 
     Output is deterministic: bounds and eigenvalues are identical
     regardless of job order, pool presence, pool size, or cache warmth
-    (fixed [seed], bitwise-reproducible parallel matvec, bit-exact cache
-    codec).  Only [cache_hit] / [wall_s] attribution moves with ordering
+    (fixed eigensolver seed, bitwise-reproducible parallel matvec,
+    bit-exact cache codec).  Only [cache_hit] / [wall_s] attribution moves with ordering
     and warmth (the first job of each spectrum class pays any solve).
 
     With [closed_form] (default [true]) recognized graphs answer from the
@@ -334,10 +309,10 @@ val bound_batch :
     under their own keys (uppercase method tag, canonical parameters), so
     a [closed_form:false] run never reads them back.
 
-    With [decompose] (default [true]) disconnected jobs are solved
-    component-wise as in {!bound}; their components join the in-batch
-    dedup table alongside whole connected jobs, and per-job provenance
-    lands in [outcome.components].
+    Disconnected jobs are always solved component-wise as in {!bound};
+    their components join the in-batch dedup table alongside whole
+    connected jobs, and per-job provenance lands in
+    [outcome.components].
 
     With [warm_start] (default [false] here; the CLI turns it on for
     [batch]/[serve]), a cache miss taking the sparse path seeds its
@@ -360,14 +335,9 @@ val bound_cached :
   ?portfolio:method_ list ->
   ?h:int ->
   ?dense_threshold:int ->
-  ?tol:float ->
-  ?seed:int ->
-  ?filter_degree:Graphio_la.Filtered.degree ->
-  ?kernel:Graphio_la.Csr.kernel ->
   ?warm_start:bool ->
   ?on_iteration:Graphio_la.Convergence.callback ->
   ?closed_form:bool ->
-  ?decompose:bool ->
   batch_job ->
   batch_result
 (** One job through the same cached pipeline as {!bound_batch} — the

@@ -9,17 +9,6 @@ type result = {
 
 type degree = Auto | Fixed of int
 
-let degree_name = function
-  | Auto -> "auto"
-  | Fixed d -> string_of_int d
-
-let degree_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Some Auto
-  | s -> ( match int_of_string_opt s with
-      | Some d when d >= 2 -> Some (Fixed d)
-      | _ -> None)
-
 (* Degree-[d] Chebyshev filter applied to one vector, in place:
    x <- T_d((A - c I)/e) x  with  c = (up + cut)/2, e = (up - cut)/2.
    T_d is <= 1 in magnitude on [cut, up] and grows like

@@ -41,17 +41,14 @@ type result = {
 }
 
 type degree = Auto | Fixed of int
-(** Chebyshev filter degree policy.  [Fixed d] uses [d] for every sweep;
+(** Chebyshev filter degree policy, chosen through [?degree] below or
+    {!Eigen.smallest}'s [?filter_degree]; the solver and the CLI always
+    run [Auto].  [Fixed d] uses [d] for every sweep;
     [Auto] (the default) retunes each sweep from the current Ritz-value
     spread and the observed residual-decay rate — clamped to [[4, 80]],
     deterministic for a fixed seed and operator, logged via
     [solver.filter_degree] debug events and the [la.eigen.filter_degree]
     gauge (docs/PERFORMANCE.md). *)
-
-val degree_name : degree -> string
-
-val degree_of_string : string -> degree option
-(** ["auto"] or an integer [>= 2] (the CLI [--filter-degree] grammar). *)
 
 val smallest :
   ?tol:float ->

@@ -285,9 +285,9 @@ let smallest ?(tol = 1e-7) ?(max_restarts = 300) ?krylov_dim ?(seed = 0x5eed)
   }
 
 let smallest_csr ?tol ?max_restarts ?krylov_dim ?seed ?want_vectors ?on_iteration
-    ?pool ?kernel m ~h =
+    ?pool m ~h =
   let rows, cols = Csr.dims m in
   if rows <> cols then invalid_arg "Lanczos.smallest_csr: matrix not square";
   smallest ?tol ?max_restarts ?krylov_dim ?seed ?want_vectors ?on_iteration
-    ~matvec:(Csr.matvec_fn ?pool ?kernel m)
+    ~matvec:(Csr.matvec_fn ?pool m)
     ~n:rows ~h ()

@@ -66,7 +66,6 @@ val smallest_csr :
   ?want_vectors:bool ->
   ?on_iteration:Convergence.callback ->
   ?pool:Graphio_par.Pool.t ->
-  ?kernel:Csr.kernel ->
   Csr.t ->
   h:int ->
   result

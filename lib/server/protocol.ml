@@ -25,6 +25,71 @@ let backend_name = function
   | Graphio_la.Eigen.Dense -> "dense"
   | Graphio_la.Eigen.Sparse_filtered -> "filtered"
 
+let answer_fields (r : Graphio_core.Solver.batch_result) =
+  let open Graphio_core.Solver in
+  let j = r.job and o = r.outcome in
+  let b = o.result in
+  let tier t = Jsonx.String (tier_name t) in
+  [
+    ("n", Jsonx.Int (Graphio_graph.Dag.n_vertices j.dag));
+    ("edges", Jsonx.Int (Graphio_graph.Dag.n_edges j.dag));
+    ("m", Jsonx.Int j.m);
+    ("p", Jsonx.Int (Option.value j.p ~default:1));
+    ("method", Jsonx.String (method_name j.method_));
+    ("h", Jsonx.Int (Array.length o.eigenvalues));
+    ("bound", Jsonx.Float b.Graphio_core.Spectral_bound.bound);
+    ("best_k", Jsonx.Int b.Graphio_core.Spectral_bound.best_k);
+    ("best_raw", Jsonx.Float b.Graphio_core.Spectral_bound.best_raw);
+    ("backend", Jsonx.String (backend_name o.backend));
+    ("tier", tier o.tier);
+    ("cache_hit", Jsonx.Bool r.cache_hit);
+    ("warm_start", Jsonx.Bool o.warm_start);
+    ("wall_s", Jsonx.Float r.wall_s);
+  ]
+  (* per-component provenance, only when the graph decomposed *)
+  @ (if Array.length o.components = 0 then []
+     else
+       [
+         ( "components",
+           Jsonx.List
+             (Array.to_list
+                (Array.map
+                   (fun c ->
+                     Jsonx.Obj
+                       [
+                         ("n", Jsonx.Int c.comp_n);
+                         ("edges", Jsonx.Int c.comp_edges);
+                         ("tier", tier c.comp_tier);
+                         ("cache_hit", Jsonx.Bool c.comp_cache_hit);
+                       ])
+                   o.components)) );
+       ])
+  (* per-member values and the winner, only on portfolio queries; member
+     wall times stay in the OCaml API, only the aggregate is on the wire *)
+  @ (if Array.length o.methods = 0 then []
+     else
+       [
+         ( "methods",
+           Jsonx.List
+             (Array.to_list
+                (Array.map
+                   (fun mv ->
+                     Jsonx.Obj
+                       [
+                         ("method", Jsonx.String (method_name mv.mv_method));
+                         ("bound", Jsonx.Float mv.mv_bound);
+                         ("best_k", Jsonx.Int mv.mv_best_k);
+                         ("tier", tier mv.mv_tier);
+                         ("cache_hit", Jsonx.Bool mv.mv_cache_hit);
+                         ("warm_start", Jsonx.Bool mv.mv_warm_start);
+                       ])
+                   o.methods)) );
+       ])
+  @
+  match o.winner with
+  | Some w -> [ ("winner", Jsonx.String (method_name w)) ]
+  | None -> []
+
 (* Field accessors that reject wrong types instead of coercing: a request
    with "m":"4" is a client bug worth a clear message, not a guess. *)
 

@@ -52,3 +52,11 @@ val request_of_line : string -> (request, Graphio_obs.Jsonx.t option * string) r
 
 val method_name : Graphio_core.Solver.method_ -> string
 val backend_name : Graphio_la.Eigen.backend -> string
+
+val answer_fields :
+  Graphio_core.Solver.batch_result -> (string * Graphio_obs.Jsonx.t) list
+(** The fields of one bound answer, ["n"] through ["winner"], in wire
+    order — the one encoding shared by [graphio batch] lines (after
+    ["spec"]) and successful serve replies (after ["id"], ["ok"] and
+    ["rid"]).  ["components"] appears only when the graph decomposed,
+    ["methods"] and ["winner"] only on portfolio queries. *)

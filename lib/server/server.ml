@@ -12,7 +12,6 @@ type config = {
   dense_threshold : int option;
   closed_form : bool;
   warm_start : bool;
-  filter_degree : Graphio_la.Filtered.degree;
   portfolio : Solver.method_ list option;
       (* member set for method=portfolio queries; [None] = solver default *)
 }
@@ -34,7 +33,6 @@ let default_config transport =
        the reuse the Ritz store exists for (CLI --no-warm-start opts
        out; see docs/PERFORMANCE.md for the determinism caveat) *)
     warm_start = true;
-    filter_degree = Graphio_la.Filtered.Auto;
     portfolio = None;
   }
 
@@ -75,83 +73,12 @@ let error_reply ?id ~code msg =
            ("error", Jsonx.String msg);
          ]))
 
-let query_reply ~id ~rid (r : Solver.batch_result) =
-  let j = r.Solver.job and o = r.Solver.outcome in
-  let b = o.Solver.result in
-  (* per-component provenance rides along only when the request's graph
-     actually decomposed, so connected-graph replies are byte-stable *)
-  let component_fields =
-    if Array.length o.Solver.components = 0 then []
-    else
-      [
-        ( "components",
-          Jsonx.List
-            (Array.to_list
-               (Array.map
-                  (fun c ->
-                    Jsonx.Obj
-                      [
-                        ("n", Jsonx.Int c.Solver.comp_n);
-                        ("edges", Jsonx.Int c.Solver.comp_edges);
-                        ("tier", Jsonx.String (Solver.tier_name c.Solver.comp_tier));
-                        ("cache_hit", Jsonx.Bool c.Solver.comp_cache_hit);
-                      ])
-                  o.Solver.components)) );
-      ]
-  in
-  (* per-member values and the winner ride along only on portfolio
-     queries, so every single-method reply is byte-identical to before.
-     No per-member wall times here: only aggregate wall_s is wire-level
-     (member walls stay available in the OCaml API). *)
-  let method_fields =
-    if Array.length o.Solver.methods = 0 then []
-    else
-      [
-        ( "methods",
-          Jsonx.List
-            (Array.to_list
-               (Array.map
-                  (fun mv ->
-                    Jsonx.Obj
-                      [
-                        ( "method",
-                          Jsonx.String (Protocol.method_name mv.Solver.mv_method)
-                        );
-                        ("bound", Jsonx.Float mv.Solver.mv_bound);
-                        ("best_k", Jsonx.Int mv.Solver.mv_best_k);
-                        ("tier", Jsonx.String (Solver.tier_name mv.Solver.mv_tier));
-                        ("cache_hit", Jsonx.Bool mv.Solver.mv_cache_hit);
-                        ("warm_start", Jsonx.Bool mv.Solver.mv_warm_start);
-                      ])
-                  o.Solver.methods)) );
-      ]
-      @
-      match o.Solver.winner with
-      | Some w -> [ ("winner", Jsonx.String (Protocol.method_name w)) ]
-      | None -> []
-  in
+let query_reply ~id ~rid r =
   Jsonx.to_string
     (Jsonx.Obj
        (id_field id
-       @ [
-           ("ok", Jsonx.Bool true);
-           ("rid", Jsonx.String rid);
-           ("n", Jsonx.Int (Graphio_graph.Dag.n_vertices j.Solver.dag));
-           ("edges", Jsonx.Int (Graphio_graph.Dag.n_edges j.Solver.dag));
-           ("m", Jsonx.Int j.Solver.m);
-           ("p", Jsonx.Int (Option.value j.Solver.p ~default:1));
-           ("method", Jsonx.String (Protocol.method_name j.Solver.method_));
-           ("h", Jsonx.Int (Array.length o.Solver.eigenvalues));
-           ("bound", Jsonx.Float b.Spectral_bound.bound);
-           ("best_k", Jsonx.Int b.Spectral_bound.best_k);
-           ("best_raw", Jsonx.Float b.Spectral_bound.best_raw);
-           ("backend", Jsonx.String (Protocol.backend_name o.Solver.backend));
-           ("tier", Jsonx.String (Solver.tier_name o.Solver.tier));
-           ("cache_hit", Jsonx.Bool r.Solver.cache_hit);
-           ("warm_start", Jsonx.Bool o.Solver.warm_start);
-           ("wall_s", Jsonx.Float r.Solver.wall_s);
-         ]
-       @ component_fields @ method_fields))
+       @ (("ok", Jsonx.Bool true) :: ("rid", Jsonx.String rid)
+         :: Protocol.answer_fields r)))
 
 let build_graph = function
   | Protocol.Spec s -> (
@@ -189,7 +116,7 @@ let answer_query cfg ?pool ~arrival_ns ~rid (q : Protocol.query) =
       let r =
         Solver.bound_cached ~cache:cfg.cache ?pool ?portfolio:cfg.portfolio ~h
           ?dense_threshold:cfg.dense_threshold ~closed_form:cfg.closed_form
-          ~warm_start:cfg.warm_start ~filter_degree:cfg.filter_degree
+          ~warm_start:cfg.warm_start
           ~on_iteration:(fun _ -> check_deadline ())
           job
       in

@@ -63,9 +63,6 @@ type config = {
           replies match cold ones to solver tolerance but not bitwise
           ([graphio serve --no-warm-start] opts out;
           docs/PERFORMANCE.md). *)
-  filter_degree : Graphio_la.Filtered.degree;
-      (** Chebyshev filter degree policy for sparse eigensolves
-          ([graphio serve --filter-degree auto|N]). *)
   portfolio : Graphio_core.Solver.method_ list option;
       (** member set evaluated by [method=portfolio] requests
           ([graphio serve --portfolio-methods]); [None] = the solver
@@ -77,7 +74,7 @@ type config = {
 val default_config : transport -> config
 (** Pool of 1, a fresh default cache ({!Graphio_cache.Spectrum.ambient}
     when configured, else memory-only), no timeout, [h = 100], closed-form
-    dispatch on, warm starts on, [Auto] filter degree. *)
+    dispatch on, warm starts on. *)
 
 val run : ?ready:(unit -> unit) -> config -> unit
 (** Bind, listen, serve until a shutdown request or signal, drain, clean

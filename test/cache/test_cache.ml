@@ -338,6 +338,39 @@ let test_solver_params_not_conflated () =
     b.Solver.cache_hit;
   ignore a
 
+(* The key schema disk entries are written under: a change to it turns
+   every existing disk cache into misses. *)
+let test_solver_key_schema () =
+  with_temp_dir @@ fun dir ->
+  let cache = Spectrum.create ~dir () in
+  let h = 16 and dense_threshold = Some 100 in
+  let numeric = Graphio_workloads.Matmul.build 3
+  and recognized = Graphio_workloads.Fft.build 3 in
+  List.iter
+    (fun g ->
+      ignore
+        (Solver.bound_cached ~cache ~h ?dense_threshold (Solver.job g ~m:4)))
+    [ numeric; recognized ];
+  Spectrum.drop_memory cache;
+  let key ~method_tag ~dense_threshold g =
+    {
+      Spectrum.fingerprint = Dag.fingerprint g;
+      method_tag;
+      h;
+      params =
+        Spectrum.params_digest ~dense_threshold ~tol:None ~seed:None
+          ~filter_degree:None;
+    }
+  in
+  let tag = Method.cache_char Method.Normalized in
+  Alcotest.(check bool) "numeric entry" true
+    (Spectrum.find cache (key ~method_tag:tag ~dense_threshold numeric) <> None);
+  Alcotest.(check bool) "closed-form entry" true
+    (Spectrum.find cache
+       (key ~method_tag:(Char.uppercase_ascii tag) ~dense_threshold:None
+          recognized)
+    <> None)
+
 let prop_batch_warm_equals_cold =
   (* bound_batch over a random job mix: warm (second run, same cache)
      results must be bitwise identical to the cold run's. *)
@@ -411,6 +444,7 @@ let () =
             test_solver_corrupt_disk_recomputes;
           Alcotest.test_case "solver params not conflated" `Quick
             test_solver_params_not_conflated;
+          Alcotest.test_case "key schema pinned" `Quick test_solver_key_schema;
         ] );
       ("properties", props);
     ]

@@ -440,7 +440,7 @@ let with_chaos_server ?(pool_size = 3) ?timeout_s plan f =
   let cfg =
     { Server.transport; pool_size; cache = Spectrum.disabled; timeout_s;
       h = 16; dense_threshold = Some 24; closed_form = true;
-      warm_start = false; filter_degree = Graphio_la.Filtered.Auto;
+      warm_start = false;
       portfolio = None }
   in
   let listening = Atomic.make false in

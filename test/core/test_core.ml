@@ -167,6 +167,66 @@ let test_solver_parallel_weaker () =
   let b4 = (Solver.bound ~p:4 g ~m:4).Solver.result.Spectral_bound.bound in
   Alcotest.(check bool) "parallel bound weaker" true (b4 <= b1 +. 1e-9)
 
+let test_solver_rejects_p_below_one () =
+  let g = Fft.build 4 in
+  List.iter
+    (fun method_ ->
+      let name = Method.to_string method_ in
+      Alcotest.check_raises ("bound " ^ name)
+        (Invalid_argument "Solver: p must be >= 1") (fun () ->
+          ignore (Solver.bound ~method_ ~p:0 g ~m:4));
+      Alcotest.check_raises ("bound_parts " ^ name)
+        (Invalid_argument "Solver: p must be >= 1") (fun () ->
+          ignore (Solver.bound_parts ~method_ ~p:0 [| g |] ~m:4)))
+    Method.all
+
+(* The solver.* names in the span tree of docs/OBSERVABILITY.md: the
+   first fenced block after its "## Spans" heading. *)
+let documented_solver_spans () =
+  let doc =
+    In_channel.with_open_text "../../docs/OBSERVABILITY.md"
+      In_channel.input_all
+  in
+  let rec find i sub =
+    if String.sub doc i (String.length sub) = sub then i else find (i + 1) sub
+  in
+  let start = find (find 0 "## Spans") "```" + 3 in
+  let block = String.sub doc start (find start "```" - start) in
+  String.map
+    (fun c -> if (c >= 'a' && c <= 'z') || c = '_' || c = '.' then c else ' ')
+    block
+  |> String.split_on_char ' '
+  |> List.filter (String.starts_with ~prefix:"solver.")
+  |> List.sort_uniq compare
+
+let test_solver_documented_spans () =
+  (* a numeric graph (the recognizer misses it) through every entry point
+     that opens a span, plus a portfolio with the visit member *)
+  let g = Matmul.build 3 in
+  let job = Solver.job g ~m:4 in
+  let cache = Graphio_cache.Spectrum.disabled in
+  Graphio_obs.Span.set_enabled true;
+  Graphio_obs.Span.clear ();
+  let emitted =
+    Fun.protect
+      ~finally:(fun () ->
+        Graphio_obs.Span.set_enabled false;
+        Graphio_obs.Span.clear ())
+      (fun () ->
+        ignore (Solver.bound g ~m:4);
+        ignore
+          (Solver.bound ~method_:Solver.Portfolio
+             ~portfolio:[ Solver.Normalized; Solver.Visit ] g ~m:4);
+        ignore (Solver.bound_batch ~cache [| job |]);
+        ignore (Solver.bound_cached ~cache job);
+        Graphio_obs.Span.records ()
+        |> List.map (fun r -> r.Graphio_obs.Span.name)
+        |> List.filter (String.starts_with ~prefix:"solver.")
+        |> List.sort_uniq compare)
+  in
+  Alcotest.(check (list string))
+    "emitted = documented" (documented_solver_spans ()) emitted
+
 let test_solver_sparse_path_agrees_with_dense () =
   (* low dense_threshold routes the whole pipeline through the
      Chebyshev-filtered solver: the bound must match the dense default *)
@@ -1013,6 +1073,10 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_solver_empty_graph;
           Alcotest.test_case "edgeless graph" `Quick test_solver_edgeless_graph;
           Alcotest.test_case "parallel weaker" `Quick test_solver_parallel_weaker;
+          Alcotest.test_case "p < 1 rejected by every method" `Quick
+            test_solver_rejects_p_below_one;
+          Alcotest.test_case "documented spans emitted" `Quick
+            test_solver_documented_spans;
           Alcotest.test_case "sparse path agrees with dense" `Quick
             test_solver_sparse_path_agrees_with_dense;
           Alcotest.test_case "warm start accuracy" `Quick

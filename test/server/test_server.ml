@@ -22,7 +22,7 @@ let with_server ?(pool_size = 3) ?timeout_s ?(cache = Graphio_cache.Spectrum.dis
        solves match cold ones only to tolerance, not bitwise *)
     { Server.transport; pool_size; cache; timeout_s; h = 16;
       dense_threshold = Some 24; closed_form = true;
-      warm_start = false; filter_degree = Graphio_la.Filtered.Auto;
+      warm_start = false;
       portfolio = None }
   in
   let listening = Atomic.make false in
