@@ -1,14 +1,20 @@
 (* Bench harness: regenerates every table/figure of the paper's evaluation
-   (Figures 7-11) plus the Section 5 closed-form checks and the Theorem 6
-   parallel sweep.  Each section prints the same series the paper plots.
+   (Figures 7-11) plus the Section 5 closed-form checks, the Theorem 6
+   parallel sweep and the ablation, relaxation, gallery, sandwich and
+   tightness studies.  Each section prints the same series the paper plots.
 
    Usage:
-     dune exec bench/main.exe                 -- all sections
-     dune exec bench/main.exe -- fig7 fig11   -- selected sections
-     dune exec bench/main.exe -- --csv fig8   -- also dump CSV
-     dune exec bench/main.exe -- --quick      -- reduced sweeps (CI-sized)
-     dune exec bench/main.exe -- -j 4 batch   -- batch driver on a 4-domain pool
-     dune exec bench/main.exe -- bechamel     -- micro-benchmarks only
+     dune exec bench/main.exe                  -- all sections
+     dune exec bench/main.exe -- fig7 fig11    -- selected sections
+     dune exec bench/main.exe -- --csv fig8    -- also dump CSV
+     dune exec bench/main.exe -- --quick       -- reduced sweeps (CI-sized)
+     dune exec bench/main.exe -- --json PATH   -- per-section wall time and matvecs
+     dune exec bench/main.exe -- --faults PLAN -- install a fault plan
+     dune exec bench/main.exe -- bechamel      -- micro-benchmarks only
+
+   This is the paper-reproduction harness only.  The performance of the
+   pipeline itself (eigensolver, batch, serve, recognizer, store,
+   portfolio) is measured by perfbench/ (BENCHMARK.json).
 
    Absolute numbers differ from the paper's (different machine, different
    eigensolver); the *shapes* are the reproduction target: who wins, how
@@ -23,11 +29,6 @@ open Graphio_core
 let csv_mode = ref false
 let quick = ref false
 let json_path = ref None
-let njobs = ref 1
-
-(* Sections may publish extra per-section fields into the --json record
-   (the batch section records its speedup here); cleared between sections. *)
-let extra_json : (string * Graphio_obs.Jsonx.t) list ref = ref []
 
 let emit report =
   Report.print report;
@@ -42,15 +43,6 @@ let counter_of snapshot name =
   match Graphio_obs.Metrics.find snapshot name with
   | Some (Graphio_obs.Metrics.Counter v) -> v
   | _ -> 0
-
-(* Matvec counts come from the process-wide [la.eigen.matvecs] counter;
-   deltas around a run attribute them to it (single-threaded sections
-   only — the counter is global). *)
-let with_matvecs f =
-  let before = counter_of (Graphio_obs.Metrics.snapshot ()) "la.eigen.matvecs" in
-  let x, dt = time f in
-  let after = counter_of (Graphio_obs.Metrics.snapshot ()) "la.eigen.matvecs" in
-  (x, dt, after - before)
 
 (* Eigensolve once per (graph, method), reuse across M values. *)
 let spectral_bounds g ~ms =
@@ -721,438 +713,6 @@ let tightness () =
   emit r
 
 (* ------------------------------------------------------------------ *)
-(* Batch bound driver: Solver.bound_batch sequential vs domain pool    *)
-(* ------------------------------------------------------------------ *)
-
-let batch () =
-  let ms = [ 8; 16 ] in
-  let ls_fft = if !quick then [ 5; 6; 7 ] else [ 6; 7; 8; 9 ] in
-  let ls_bhk = if !quick then [ 6; 7; 8 ] else [ 7; 8; 9; 10 ] in
-  let jobs_of build ls =
-    List.concat_map
-      (fun l ->
-        let g = build l in
-        List.concat_map
-          (fun m ->
-            [ Solver.job g ~m; Solver.job ~method_:Solver.Standard g ~m ])
-          ms)
-      ls
-  in
-  let jobs = Array.of_list (jobs_of Fft.build ls_fft @ jobs_of Bhk.build ls_bhk) in
-  (* the closed-form tier would answer every FFT/BHK job without a single
-     matvec (and the recorded matvec counts would all be 0): force the
-     numeric tier so the sweep actually measures the eigensolver and its
-     parallel scaling *)
-  let run pool =
-    Solver.bound_batch ?pool ~dense_threshold:100 ~closed_form:false jobs
-  in
-  let _, seq_s, seq_matvecs = with_matvecs (fun () -> run None) in
-  let j = max 1 !njobs in
-  let results, par_s, par_matvecs =
-    with_matvecs (fun () ->
-        if j = 1 then run None
-        else
-          Graphio_par.Pool.with_pool ~size:j (fun pool -> run (Some pool)))
-  in
-  let hits = Array.fold_left (fun a r -> if r.Solver.cache_hit then a + 1 else a) 0 results in
-  let ncores = Domain.recommended_domain_count () in
-  let speedup = seq_s /. par_s in
-  let r =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "batch: bound_batch FFT/BHK sweep, sequential vs %d-domain pool (%d cores)"
-           j ncores)
-      ~columns:[ "quantity"; "value" ]
-  in
-  Report.add_row r [ "jobs"; Report.cell_int (Array.length jobs) ];
-  Report.add_row r [ "spectrum cache hits"; Report.cell_int hits ];
-  Report.add_row r [ "sequential (s)"; Report.cell_float seq_s ];
-  Report.add_row r [ Printf.sprintf "pool j=%d (s)" j; Report.cell_float par_s ];
-  Report.add_row r [ "speedup"; Report.cell_float speedup ];
-  Report.add_row r [ "matvecs (sequential)"; Report.cell_int seq_matvecs ];
-  Report.add_row r [ Printf.sprintf "matvecs (pool j=%d)" j; Report.cell_int par_matvecs ];
-  Report.note r
-    "same bounds either way (bitwise-deterministic parallel matvec); speedup tracks physical cores";
-  Report.note r
-    "equal matvec counts: the pool changes who runs the matvec, never how many run";
-  emit r;
-  extra_json :=
-    [
-      ("jobs", Graphio_obs.Jsonx.Int (Array.length jobs));
-      ("j", Graphio_obs.Jsonx.Int j);
-      ("ncores", Graphio_obs.Jsonx.Int ncores);
-      ("seq_s", Graphio_obs.Jsonx.Float seq_s);
-      ("par_s", Graphio_obs.Jsonx.Float par_s);
-      ("speedup", Graphio_obs.Jsonx.Float speedup);
-      ("seq_matvecs", Graphio_obs.Jsonx.Int seq_matvecs);
-      ("par_matvecs", Graphio_obs.Jsonx.Int par_matvecs);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Serve: cold vs warm request latency through the bound service       *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let serve () =
-  let open Graphio_server in
-  let tmp base suffix =
-    let p = Filename.temp_file base suffix in
-    Sys.remove p;
-    p
-  in
-  let sock = tmp "graphio_bench_serve" ".sock" in
-  let dir = tmp "graphio_bench_spectra" "" in
-  Unix.mkdir dir 0o700;
-  let transport = Server.Unix_socket sock in
-  let cfg =
-    {
-      (Server.default_config transport) with
-      Server.pool_size = max 1 !njobs;
-      cache = Graphio_cache.Spectrum.create ~dir ();
-    }
-  in
-  let listening = Atomic.make false in
-  let server =
-    Domain.spawn (fun () ->
-        Server.run ~ready:(fun () -> Atomic.set listening true) cfg)
-  in
-  while not (Atomic.get listening) do
-    Unix.sleepf 0.001
-  done;
-  (* both Laplacians per graph: every query in a pass is a distinct
-     spectrum, so the cold pass pays one eigensolve per query and the
-     warm pass pays none *)
-  let queries =
-    let specs =
-      if !quick then [ ("fft:6", 8); ("fft:7", 8); ("bhk:7", 16); ("bhk:8", 16) ]
-      else
-        [ ("fft:8", 8); ("fft:9", 8); ("bhk:9", 16); ("bhk:10", 16);
-          ("matmul:6", 32) ]
-    in
-    List.concat_map
-      (fun (spec, m) ->
-        [ Printf.sprintf {|{"spec":%S,"m":%d}|} spec m;
-          Printf.sprintf {|{"spec":%S,"m":%d,"method":"standard"}|} spec m ])
-      specs
-  in
-  let pass () =
-    let c = Client.connect transport in
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () ->
-        List.map
-          (fun q ->
-            let reply, dt = time (fun () -> Client.rpc c q) in
-            let hit =
-              match
-                Graphio_obs.Jsonx.(member "cache_hit" (of_string reply))
-              with
-              | Some (Graphio_obs.Jsonx.Bool b) -> b
-              | _ -> false
-            in
-            (hit, dt))
-          queries)
-  in
-  let cold = pass () in
-  let warm = pass () in
-  (* one {"op":"metrics"} before shutdown: the server-side latency
-     quantiles and GC gauges of the passes above land in the bench
-     record, so BENCH_*.json tracks tail latency across versions *)
-  let latency, gc_stats =
-    let c = Client.connect transport in
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () ->
-        let json = Graphio_obs.Jsonx.of_string (Client.rpc c {|{"op":"metrics"}|}) in
-        let lat name =
-          match Graphio_obs.Jsonx.member "latency" json with
-          | Some l -> (
-              match Graphio_obs.Jsonx.member name l with
-              | Some (Graphio_obs.Jsonx.Float f) -> f
-              | Some (Graphio_obs.Jsonx.Int i) -> float_of_int i
-              | _ -> 0.0)
-          | None -> 0.0
-        in
-        let snap =
-          match Graphio_obs.Jsonx.member "metrics" json with
-          | Some m -> Graphio_obs.Metrics.of_json m
-          | None -> []
-        in
-        let g name =
-          match Graphio_obs.Metrics.find snap name with
-          | Some (Graphio_obs.Metrics.Gauge v) -> v
-          | _ -> 0.0
-        in
-        ( (lat "p50_s", lat "p95_s", lat "p99_s"),
-          ( g "runtime.gc.heap_words",
-            g "runtime.gc.minor_collections",
-            g "runtime.gc.major_collections" ) ))
-  in
-  (let c = Client.connect transport in
-   ignore (Client.rpc c {|{"op":"shutdown"}|});
-   Client.close c);
-  Domain.join server;
-  if Sys.file_exists sock then Sys.remove sock;
-  rm_rf dir;
-  let total l = List.fold_left (fun a (_, dt) -> a +. dt) 0.0 l in
-  let hits l = List.length (List.filter fst l) in
-  let nq = List.length queries in
-  let cold_s = total cold and warm_s = total warm in
-  let speedup = cold_s /. warm_s in
-  let r =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "serve: cold vs warm latency through the bound service (%d queries, pool j=%d)"
-           nq (max 1 !njobs))
-      ~columns:[ "quantity"; "value" ]
-  in
-  Report.add_row r [ "queries"; Report.cell_int nq ];
-  Report.add_row r [ "cold pass (s)"; Report.cell_float cold_s ];
-  Report.add_row r [ "warm pass (s)"; Report.cell_float warm_s ];
-  Report.add_row r [ "warm cache hits"; Report.cell_int (hits warm) ];
-  Report.add_row r [ "speedup (cold/warm)"; Report.cell_float speedup ];
-  let p50, p95, p99 = latency in
-  let heap_words, minor_gcs, major_gcs = gc_stats in
-  Report.add_row r [ "request p50 (s)"; Report.cell_float p50 ];
-  Report.add_row r [ "request p95 (s)"; Report.cell_float p95 ];
-  Report.add_row r [ "request p99 (s)"; Report.cell_float p99 ];
-  Report.add_row r [ "gc major collections"; Report.cell_int (int_of_float major_gcs) ];
-  Report.note r
-    "warm answers come from the two-tier spectrum cache; the residue is protocol + socket cost";
-  emit r;
-  extra_json :=
-    [
-      ("queries", Graphio_obs.Jsonx.Int nq);
-      ("cold_s", Graphio_obs.Jsonx.Float cold_s);
-      ("warm_s", Graphio_obs.Jsonx.Float warm_s);
-      ("warm_hits", Graphio_obs.Jsonx.Int (hits warm));
-      ("speedup", Graphio_obs.Jsonx.Float speedup);
-      ("p50_s", Graphio_obs.Jsonx.Float p50);
-      ("p95_s", Graphio_obs.Jsonx.Float p95);
-      ("p99_s", Graphio_obs.Jsonx.Float p99);
-      ("gc_heap_words", Graphio_obs.Jsonx.Float heap_words);
-      ("gc_minor_collections", Graphio_obs.Jsonx.Float minor_gcs);
-      ("gc_major_collections", Graphio_obs.Jsonx.Float major_gcs);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Recognizer: closed-form spectrum dispatch vs forced numeric solve   *)
-(* ------------------------------------------------------------------ *)
-
-let recognize () =
-  let cases =
-    if !quick then
-      [
-        ("butterfly fft:7", Fft.build 7);
-        ("hypercube bhk:8", Bhk.build 8);
-        ("path path:256", Sequences.independent_chains ~count:1 ~length:256);
-        ("grid grid:12:12", Stencil.grid ~rows:12 ~cols:12);
-      ]
-    else
-      [
-        ("butterfly fft:8", Fft.build 8);
-        ("hypercube bhk:10", Bhk.build 10);
-        ("path path:1024", Sequences.independent_chains ~count:1 ~length:1024);
-        ("grid grid:24:24", Stencil.grid ~rows:24 ~cols:24);
-      ]
-  in
-  let m = 8 in
-  let r =
-    Report.create
-      ~title:"recognize: closed-form spectrum dispatch vs numeric eigensolve (Thm 5)"
-      ~columns:[ "graph"; "n"; "tier"; "closed (s)"; "numeric (s)"; "speedup"; "agree" ]
-  in
-  let fields = ref [] in
-  List.iter
-    (fun (name, g) ->
-      let closed_o, closed_s =
-        time (fun () -> Solver.bound ~method_:Solver.Standard g ~m)
-      in
-      let numeric_o, numeric_s =
-        time (fun () ->
-            Solver.bound ~method_:Solver.Standard ~closed_form:false g ~m)
-      in
-      let cb = closed_o.Solver.result.Spectral_bound.bound
-      and nb = numeric_o.Solver.result.Spectral_bound.bound in
-      let agree = Float.abs (cb -. nb) <= 1e-6 *. (1.0 +. Float.abs nb) in
-      let slug = String.map (fun c -> if c = ' ' then '_' else c) name in
-      fields :=
-        (slug ^ "_speedup", Graphio_obs.Jsonx.Float (numeric_s /. closed_s))
-        :: (slug ^ "_closed_s", Graphio_obs.Jsonx.Float closed_s)
-        :: (slug ^ "_numeric_s", Graphio_obs.Jsonx.Float numeric_s)
-        :: !fields;
-      Report.add_row r
-        [ name; Report.cell_int (Dag.n_vertices g);
-          Solver.tier_name closed_o.Solver.tier; Report.cell_float closed_s;
-          Report.cell_float numeric_s;
-          Report.cell_float (numeric_s /. closed_s); string_of_bool agree ])
-    cases;
-  Report.note r
-    "closed rows pay recognition (linear) instead of an eigensolve (cubic dense)";
-  Report.note r "'agree' checks the dispatched bound against the numeric bound";
-  emit r;
-  extra_json := List.rev !fields
-
-(* ------------------------------------------------------------------ *)
-(* Eigensolver hot path: CSR kernel, adaptive degree, warm starts      *)
-(* ------------------------------------------------------------------ *)
-
-(* Three workload families through the sparse eigensolver, four sub-runs
-   each:
-     1. old kernel (float arrays), fixed degree 20   - the reference
-     2. new kernel (Bigarray CSR),  fixed degree 20  - must be bitwise
-        identical to 1 at identical matvec count; only wall time may move
-     3. new kernel, auto degree, cold                - fewer matvecs at
-        equal bound accuracy
-     4. new kernel, auto degree, warm-started from a donor solve at a
-        smaller h (the cross-h Ritz reuse the cache tier performs)
-   The per-family matvec counts are deterministic (fixed seed, bitwise
-   matvec) — scripts/check_eigen_baseline.sh pins the quick-mode counts
-   against bench/eigen_baseline.json in CI. *)
-
-let perturbed_grid ~rows ~cols =
-  let b = Dag.Builder.create ~capacity_hint:(rows * cols) () in
-  for _ = 1 to rows * cols do
-    ignore (Dag.Builder.add_vertex b)
-  done;
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      let v = (i * cols) + j in
-      if i > 0 then Dag.Builder.add_edge b (v - cols) v;
-      if j > 0 then Dag.Builder.add_edge b (v - 1) v;
-      (* every 7th cell gains a diagonal shortcut: still a DAG (edges only
-         increase the row-major index), no longer a recognizable grid *)
-      if i < rows - 1 && j < cols - 1 && v mod 7 = 0 then
-        Dag.Builder.add_edge b v (v + cols + 1)
-    done
-  done;
-  Dag.Builder.build b
-
-let eigen () =
-  let open Graphio_la in
-  let families =
-    if !quick then
-      [ ("bhk", Bhk.build 8);
-        ("grid_perturbed", perturbed_grid ~rows:16 ~cols:16);
-        ("random_dag", Er.gnp ~n:300 ~p:0.03 ~seed:7) ]
-    else
-      [ ("bhk", Bhk.build 9);
-        ("grid_perturbed", perturbed_grid ~rows:24 ~cols:24);
-        ("random_dag", Er.gnp ~n:600 ~p:0.02 ~seed:7) ]
-  in
-  let h = if !quick then 32 else 64 in
-  let h_donor = if !quick then 24 else 48 in
-  let solve ?kernel ?init ?(want_vectors = false) ~degree ~h lap =
-    (* dense_threshold 0: always the sparse path — that is the hot path
-       under measurement *)
-    Eigen.smallest ~h ~dense_threshold:0 ~filter_degree:degree ?kernel ?init
-      ~want_vectors lap
-  in
-  let matvecs s =
-    match s.Eigen.stats with Some st -> st.Eigen.matvecs | None -> 0
-  in
-  let bitwise_equal a b =
-    Array.length a = Array.length b
-    && begin
-         let ok = ref true in
-         Array.iteri
-           (fun i x ->
-             if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
-               ok := false)
-           a;
-         !ok
-       end
-  in
-  let r =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "eigen: matvec kernel / adaptive degree / warm start (sparse path, h=%d)"
-           h)
-      ~columns:
-        [ "family"; "n"; "old (s)"; "new (s)"; "bitwise"; "fixed mv";
-          "auto mv"; "warm mv"; "auto red"; "warm red"; "accurate" ]
-  in
-  let fields = ref [] in
-  List.iter
-    (fun (name, g) ->
-      let lap = Laplacian.standard g in
-      let n = Dag.n_vertices g in
-      let old_s, old_t =
-        time (fun () ->
-            solve ~kernel:Csr.Arrays ~degree:(Filtered.Fixed 20) ~h lap)
-      in
-      let new_s, new_t =
-        time (fun () ->
-            solve ~kernel:Csr.Bigarray_blocked ~degree:(Filtered.Fixed 20) ~h
-              lap)
-      in
-      let bitwise =
-        bitwise_equal old_s.Eigen.values new_s.Eigen.values
-        && matvecs old_s = matvecs new_s
-      in
-      let auto_s = solve ~degree:Filtered.Auto ~h lap in
-      (* the warm run replays what the cache tier does on a cross-h hit:
-         a donor solve at a smaller h leaves its locked Ritz vectors, the
-         full-h solve starts from them instead of random vectors *)
-      let donor = solve ~degree:Filtered.Auto ~want_vectors:true ~h:h_donor lap in
-      let warm_s =
-        solve ~degree:Filtered.Auto ?init:donor.Eigen.vectors ~h lap
-      in
-      let fixed_mv = matvecs new_s
-      and auto_mv = matvecs auto_s
-      and warm_mv = matvecs warm_s in
-      let reduction v =
-        if fixed_mv = 0 then 0.0
-        else 1.0 -. (float_of_int v /. float_of_int fixed_mv)
-      in
-      (* equal-accuracy check: the bound computed from each variant's
-         spectrum must agree with the fixed-degree cold reference *)
-      let bound_of s =
-        let eigenvalues = Array.map (Float.max 0.0) s.Eigen.values in
-        (Spectral_bound.compute ~n ~m:16 ~eigenvalues ()).Spectral_bound.bound
-      in
-      let b_ref = bound_of new_s in
-      let agree b = Float.abs (b -. b_ref) <= 1e-4 *. (1.0 +. Float.abs b_ref) in
-      let accurate = agree (bound_of auto_s) && agree (bound_of warm_s) in
-      Report.add_row r
-        [ name; Report.cell_int n; Report.cell_float old_t;
-          Report.cell_float new_t; string_of_bool bitwise;
-          Report.cell_int fixed_mv; Report.cell_int auto_mv;
-          Report.cell_int warm_mv;
-          Printf.sprintf "%.0f%%" (100.0 *. reduction auto_mv);
-          Printf.sprintf "%.0f%%" (100.0 *. reduction warm_mv);
-          string_of_bool accurate ];
-      fields :=
-        (name ^ "_accuracy_ok", Graphio_obs.Jsonx.Bool accurate)
-        :: (name ^ "_warm_reduction", Graphio_obs.Jsonx.Float (reduction warm_mv))
-        :: (name ^ "_auto_reduction", Graphio_obs.Jsonx.Float (reduction auto_mv))
-        :: (name ^ "_warm_matvecs", Graphio_obs.Jsonx.Int warm_mv)
-        :: (name ^ "_auto_matvecs", Graphio_obs.Jsonx.Int auto_mv)
-        :: (name ^ "_fixed_matvecs", Graphio_obs.Jsonx.Int fixed_mv)
-        :: (name ^ "_kernel_bitwise", Graphio_obs.Jsonx.Bool bitwise)
-        :: (name ^ "_new_wall_s", Graphio_obs.Jsonx.Float new_t)
-        :: (name ^ "_old_wall_s", Graphio_obs.Jsonx.Float old_t)
-        :: !fields)
-    families;
-  Report.note r
-    "'bitwise': new-kernel spectrum identical to the old kernel bit for bit, at the same matvec count";
-  Report.note r
-    "'auto/warm red': matvecs saved vs the fixed-degree cold solve at equal bound accuracy";
-  Report.note r
-    "warm runs include only the warm solve; the donor is the earlier cross-h solve the cache already holds";
-  emit r;
-  extra_json := List.rev !fields
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1212,207 +772,6 @@ let bechamel () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Store: the out-of-core pipeline — streaming convert, verified mmap  *)
-(* load, and the component-decomposed bound on a million-vertex union  *)
-(* ------------------------------------------------------------------ *)
-
-(* Peak resident set (VmHWM) in kB from /proc/self/status; 0 where the
-   file is unavailable (non-Linux). *)
-let peak_rss_kb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> 0
-  | status -> (
-      let rec find = function
-        | [] -> 0
-        | line :: rest ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-              Scanf.sscanf
-                (String.sub line 6 (String.length line - 6))
-                " %d" Fun.id
-            else find rest
-      in
-      try find (String.split_on_char '\n' status) with Scanf.Scan_failure _ -> 0)
-
-let store () =
-  let copies, len = if !quick then (16, 4096) else (128, 8192) in
-  let g =
-    Dag.replicate (Sequences.independent_chains ~count:1 ~length:len) ~copies
-  in
-  let n = Dag.n_vertices g and m_edges = Dag.n_edges g in
-  let dir = Filename.temp_file "graphio_bench_store" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let text = Filename.concat dir "big.el" in
-  let bin = Filename.concat dir "big.gcsr" in
-  let (), text_write_s = time (fun () -> Edgelist.to_file text g) in
-  let _, convert_s =
-    time (fun () -> Graphio_store.Convert.convert ~input:text ~output:bin)
-  in
-  let st, load_s = time (fun () -> Graphio_store.Store.load bin) in
-  let m = 64 in
-  let parts, extract_s =
-    time (fun () -> Array.map fst (Graphio_store.Store.component_dags st))
-  in
-  let out_store, bound_s =
-    time (fun () -> Solver.bound_parts parts ~m)
-  in
-  let out_mem, mem_bound_s = time (fun () -> Solver.bound g ~m) in
-  let b_store = out_store.Solver.result.Spectral_bound.bound in
-  let b_mem = out_mem.Solver.result.Spectral_bound.bound in
-  let bitwise = Int64.equal (Int64.bits_of_float b_store) (Int64.bits_of_float b_mem) in
-  let text_bytes = (Unix.stat text).Unix.st_size in
-  let bin_bytes = (Unix.stat bin).Unix.st_size in
-  let rss = peak_rss_kb () in
-  let r =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "store: out-of-core pipeline on union:%d:path:%d (n=%d, m=%d, M=%d)"
-           copies len n m_edges m)
-      ~columns:[ "quantity"; "value" ]
-  in
-  Report.add_row r [ "text edgelist (bytes)"; Report.cell_int text_bytes ];
-  Report.add_row r [ "binary store (bytes)"; Report.cell_int bin_bytes ];
-  Report.add_row r [ "text write (s)"; Report.cell_float text_write_s ];
-  Report.add_row r [ "streaming convert (s)"; Report.cell_float convert_s ];
-  Report.add_row r [ "verified load (s)"; Report.cell_float load_s ];
-  Report.add_row r [ "component extraction (s)"; Report.cell_float extract_s ];
-  Report.add_row r [ "decomposed bound (s)"; Report.cell_float bound_s ];
-  Report.add_row r [ "in-memory bound (s)"; Report.cell_float mem_bound_s ];
-  Report.add_row r [ "bound"; Report.cell_float b_store ];
-  Report.add_row r [ "bitwise = in-memory path"; Report.cell_int (if bitwise then 1 else 0) ];
-  Report.add_row r [ "peak RSS (kB)"; Report.cell_int rss ];
-  Report.note r
-    "identical components share one closed-form spectrum: the decomposed solve is O(one component)";
-  Report.note r
-    "load verifies both checksums + structure before serving a single edge";
-  emit r;
-  extra_json :=
-    [
-      ("n", Graphio_obs.Jsonx.Int n);
-      ("edges", Graphio_obs.Jsonx.Int m_edges);
-      ("m", Graphio_obs.Jsonx.Int m);
-      ("text_bytes", Graphio_obs.Jsonx.Int text_bytes);
-      ("bin_bytes", Graphio_obs.Jsonx.Int bin_bytes);
-      ("text_write_s", Graphio_obs.Jsonx.Float text_write_s);
-      ("convert_s", Graphio_obs.Jsonx.Float convert_s);
-      ("load_s", Graphio_obs.Jsonx.Float load_s);
-      ("extract_s", Graphio_obs.Jsonx.Float extract_s);
-      ("bound_s", Graphio_obs.Jsonx.Float bound_s);
-      ("mem_bound_s", Graphio_obs.Jsonx.Float mem_bound_s);
-      ("bound", Graphio_obs.Jsonx.Float b_store);
-      ("bitwise_equal", Graphio_obs.Jsonx.Bool bitwise);
-      ("components", Graphio_obs.Jsonx.Int (Array.length parts));
-      ("peak_rss_kb", Graphio_obs.Jsonx.Int rss);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio: per-method bound and wall time across the workload zoo   *)
-(* ------------------------------------------------------------------ *)
-
-(* One [Solver.bound ~method_:Portfolio] call per graph: the outcome's
-   per-member records carry each method's bound and wall time, so the
-   table (and BENCH_10.json) shows who wins where and what each member
-   costs.  The acceptance bar rides along: the portfolio headline must
-   dominate both the Normalized and Standard members on every graph. *)
-let portfolio () =
-  let graphs =
-    if !quick then
-      [
-        ("fft:7", Fft.build 7, 8);
-        ("bhk:8", Bhk.build 8, 8);
-        ("grid:24:24", Stencil.grid ~rows:24 ~cols:24, 8);
-        ("er:400:0.02:1", Er.gnp ~n:400 ~p:0.02 ~seed:1, 4);
-      ]
-    else
-      [
-        ("fft:9", Fft.build 9, 8);
-        ("bhk:10", Bhk.build 10, 8);
-        ("grid:48:48", Stencil.grid ~rows:48 ~cols:48, 8);
-        ("er:1000:0.01:1", Er.gnp ~n:1000 ~p:0.01 ~seed:1, 4);
-      ]
-  in
-  let members = Method.concrete in
-  let r =
-    Report.create ~title:"portfolio: per-method bound and wall time"
-      ~columns:
-        ([ "graph"; "n"; "M" ]
-        @ List.concat_map
-            (fun m ->
-              let s = Method.to_string m in
-              [ s; s ^ " s" ])
-            members
-        @ [ "winner" ])
-  in
-  let records = ref [] in
-  let dominated = ref true in
-  List.iter
-    (fun (spec, g, m) ->
-      let o = Solver.bound ~method_:Solver.Portfolio g ~m in
-      let mvs = Array.to_list o.Solver.methods in
-      let winner =
-        match o.Solver.winner with
-        | Some w -> Method.to_string w
-        | None -> "-"
-      in
-      let headline = o.Solver.result.Spectral_bound.bound in
-      List.iter
-        (fun mv ->
-          if
-            (mv.Solver.mv_method = Solver.Normalized
-            || mv.Solver.mv_method = Solver.Standard)
-            && headline < mv.Solver.mv_bound
-          then dominated := false)
-        mvs;
-      Report.add_row r
-        (spec
-        :: Report.cell_int (Dag.n_vertices g)
-        :: Report.cell_int m
-        :: List.concat_map
-             (fun mv ->
-               [
-                 Report.cell_float mv.Solver.mv_bound;
-                 Report.cell_float mv.Solver.mv_wall_s;
-               ])
-             mvs
-        @ [ winner ]);
-      records :=
-        Graphio_obs.Jsonx.Obj
-          [
-            ("spec", Graphio_obs.Jsonx.String spec);
-            ("n", Graphio_obs.Jsonx.Int (Dag.n_vertices g));
-            ("m", Graphio_obs.Jsonx.Int m);
-            ("bound", Graphio_obs.Jsonx.Float headline);
-            ("winner", Graphio_obs.Jsonx.String winner);
-            ( "methods",
-              Graphio_obs.Jsonx.List
-                (List.map
-                   (fun mv ->
-                     Graphio_obs.Jsonx.Obj
-                       [
-                         ( "method",
-                           Graphio_obs.Jsonx.String
-                             (Method.to_string mv.Solver.mv_method) );
-                         ("bound", Graphio_obs.Jsonx.Float mv.Solver.mv_bound);
-                         ("wall_s", Graphio_obs.Jsonx.Float mv.Solver.mv_wall_s);
-                       ])
-                   mvs) );
-          ]
-        :: !records)
-    graphs;
-  Report.note r
-    (if !dominated then
-       "portfolio >= normalized and standard on every graph (acceptance bar)"
-     else "REGRESSION: a member beat the portfolio headline");
-  emit r;
-  extra_json :=
-    [
-      ("graphs", Graphio_obs.Jsonx.List (List.rev !records));
-      ("dominates_members", Graphio_obs.Jsonx.Bool !dominated);
-    ]
-
-(* ------------------------------------------------------------------ *)
 
 let sections =
   [
@@ -1430,12 +789,6 @@ let sections =
     ("ablations", ablations);
     ("tightness", tightness);
     ("sandwich", sandwich);
-    ("batch", batch);
-    ("serve", serve);
-    ("recognize", recognize);
-    ("eigen", eigen);
-    ("store", store);
-    ("portfolio", portfolio);
     ("bechamel", bechamel);
   ]
 
@@ -1455,8 +808,9 @@ let () =
         prerr_endline "bench: --json requires an output path";
         exit 2
     | "--faults" :: plan :: rest -> (
-        (* chaos benchmarking: run the sections with fault injection live
-           (e.g. to measure the cache's corrupt-record recovery cost) *)
+        (* installed as in graphio; the paper sections call plain
+           Solver.bound, which reaches no fault site (no cache, pool,
+           store or server), so only a malformed plan shows: exit 2 *)
         match Graphio_fault.parse plan with
         | Ok p ->
             Graphio_fault.set p;
@@ -1466,17 +820,6 @@ let () =
             exit 2)
     | [ "--faults" ] ->
         prerr_endline "bench: --faults requires a plan string";
-        exit 2
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some v when v >= 1 ->
-            njobs := v;
-            parse acc rest
-        | _ ->
-            prerr_endline "bench: -j requires a positive integer";
-            exit 2)
-    | [ "-j" ] ->
-        prerr_endline "bench: -j requires a positive integer";
         exit 2
     | a :: rest -> parse (a :: acc) rest
   in
@@ -1498,7 +841,6 @@ let () =
   let records = ref [] in
   List.iter
     (fun (name, f) ->
-      extra_json := [];
       let before = Graphio_obs.Metrics.snapshot () in
       let (), dt = time f in
       let after = Graphio_obs.Metrics.snapshot () in
@@ -1514,13 +856,12 @@ let () =
       in
       records :=
         Graphio_obs.Jsonx.Obj
-          ([
-             ("section", Graphio_obs.Jsonx.String name);
-             ("wall_s", Graphio_obs.Jsonx.Float dt);
-             ("matvecs", Graphio_obs.Jsonx.Int (delta "la.eigen.matvecs"));
-             ("backend", Graphio_obs.Jsonx.String backend);
-           ]
-          @ !extra_json)
+          [
+            ("section", Graphio_obs.Jsonx.String name);
+            ("wall_s", Graphio_obs.Jsonx.Float dt);
+            ("matvecs", Graphio_obs.Jsonx.Int (delta "la.eigen.matvecs"));
+            ("backend", Graphio_obs.Jsonx.String backend);
+          ]
         :: !records;
       Printf.printf "[section %s completed in %.1fs]\n\n" name dt;
       flush stdout)

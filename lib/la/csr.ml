@@ -228,19 +228,11 @@ module Ba = struct
     y
 end
 
-type kernel = Arrays | Bigarray_blocked
-
-let default_kernel = Bigarray_blocked
-let kernel_name = function Arrays -> "arrays" | Bigarray_blocked -> "bigarray"
-
-(* Close over the selected kernel once: the Bigarray conversion happens a
-   single time per solve, not per matvec. *)
-let matvec_fn ?pool ?(kernel = default_kernel) m =
-  match kernel with
-  | Arrays -> fun x y -> matvec_into ?pool m x y
-  | Bigarray_blocked ->
-      let ba = Ba.of_csr m in
-      fun x y -> Ba.matvec_into ?pool ba x y
+(* Convert once: the Bigarray conversion happens a single time per solve,
+   not per matvec. *)
+let matvec_fn ?pool m =
+  let ba = Ba.of_csr m in
+  fun x y -> Ba.matvec_into ?pool ba x y
 
 let scale c m = { m with values = Array.map (fun v -> c *. v) m.values }
 

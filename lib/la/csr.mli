@@ -67,8 +67,8 @@ val pp : Format.formatter -> t -> unit
 (** Unboxed Bigarray CSR kernel: float64 values, int32 row pointers and
     column indices, unchecked inner-loop accesses, sequential path
     cache-blocked in fixed-size row chunks.  Per-row summation order is
-    identical to the [float array] kernel, so results are bitwise equal
-    (the old kernel stays available as the reference oracle). *)
+    identical to {!matvec}, so results are bitwise equal ({!matvec} stays
+    as the reference the tests compare against). *)
 module Ba : sig
   type mat
 
@@ -86,18 +86,8 @@ module Ba : sig
   val matvec : ?pool:Graphio_par.Pool.t -> mat -> float array -> float array
 end
 
-type kernel = Arrays | Bigarray_blocked
-(** Matvec kernel selector threaded through the eigensolvers: [Arrays] is
-    the original [float array] path (reference oracle), [Bigarray_blocked]
-    the unboxed kernel above.  Both produce bitwise-identical spectra. *)
-
-val default_kernel : kernel
-(** [Bigarray_blocked]. *)
-
-val kernel_name : kernel -> string
-
 val matvec_fn :
-  ?pool:Graphio_par.Pool.t -> ?kernel:kernel -> t ->
-  (float array -> float array -> unit)
-(** Specialise a matvec closure for [m] under the chosen kernel; the
-    Bigarray conversion (if any) happens once, here, not per matvec. *)
+  ?pool:Graphio_par.Pool.t -> t -> (float array -> float array -> unit)
+(** Specialise a matvec closure for [m] on the {!Ba} kernel, the one the
+    eigensolvers run; the Bigarray conversion happens once, here, not per
+    matvec. *)

@@ -36,7 +36,7 @@ let smallest_dense ?(h = 100) a =
       })
 
 let smallest ?(h = 100) ?(dense_threshold = default_dense_threshold) ?tol ?seed
-    ?filter_degree ?kernel ?init ?want_vectors ?on_iteration ?pool m =
+    ?init ?want_vectors ?on_iteration ?pool m =
   let rows, cols = Csr.dims m in
   if rows <> cols then invalid_arg "Eigen.smallest: matrix not square";
   if rows = 0 then
@@ -52,8 +52,8 @@ let smallest ?(h = 100) ?(dense_threshold = default_dense_threshold) ?tol ?seed
            spectra. *)
         let tol = match tol with Some t -> t | None -> 1e-5 in
         let result =
-          Filtered.smallest_csr ?seed ?degree:filter_degree ?kernel ?init
-            ?want_vectors ?on_iteration ?pool ~tol m ~h
+          Filtered.smallest_csr ?seed ?init ?want_vectors ?on_iteration ?pool
+            ~tol m ~h
         in
         Graphio_obs.Metrics.incr c_sparse;
         {

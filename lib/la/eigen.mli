@@ -52,8 +52,6 @@ val smallest :
   ?dense_threshold:int ->
   ?tol:float ->
   ?seed:int ->
-  ?filter_degree:Filtered.degree ->
-  ?kernel:Csr.kernel ->
   ?init:float array array ->
   ?want_vectors:bool ->
   ?on_iteration:Convergence.callback ->
@@ -66,12 +64,11 @@ val smallest :
     values are reported as computed.  [on_iteration] receives a
     {!Convergence.progress} snapshot per sweep when the sparse path is
     taken (the dense path never calls it).  [pool] parallelizes the sparse
-    path's matvecs across domains and [kernel] selects the matvec kernel —
-    bitwise-identical values either way; the dense path ignores both.
-    [filter_degree], [init] (warm-start donor block) and [want_vectors]
-    are forwarded to {!Filtered.smallest_csr} on the sparse path and
-    ignored on the dense one.  Raises [Invalid_argument] if [m] is not
-    square. *)
+    path's matvecs across domains — bitwise-identical values either way;
+    the dense path ignores it.  [init] (warm-start donor block) and
+    [want_vectors] are forwarded to {!Filtered.smallest_csr} on the sparse
+    path and ignored on the dense one.  Raises [Invalid_argument] if [m] is
+    not square. *)
 
 val smallest_dense : ?h:int -> Mat.t -> spectrum
 (** Force the dense path on a dense symmetric matrix. *)

@@ -7,8 +7,6 @@ type result = {
   padded : int;
 }
 
-type degree = Auto | Fixed of int
-
 (* Degree-[d] Chebyshev filter applied to one vector, in place:
    x <- T_d((A - c I)/e) x  with  c = (up + cut)/2, e = (up - cut)/2.
    T_d is <= 1 in magnitude on [cut, up] and grows like
@@ -166,18 +164,14 @@ let auto_degree ~prev ~locked ~blocking_res ~threshold ~c ~e ~theta_block =
   let d = int_of_float (Float.ceil (Float.min (d_need *. scale) 1e6)) in
   (max min_auto_degree (min max_auto_degree (min cap d)), t)
 
-let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
-    ?(seed = 0x5eed) ?(want_vectors = false) ?init ?on_iteration ~matvec
-    ~upper_bound ~n ~h () =
+let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(seed = 0x5eed)
+    ?(want_vectors = false) ?init ?on_iteration ~matvec ~upper_bound ~n ~h () =
   if n <= 0 then invalid_arg "Filtered.smallest: n must be positive";
   if h <= 0 then invalid_arg "Filtered.smallest: h must be positive";
   if not (Float.is_finite upper_bound) then
     invalid_arg "Filtered.smallest: upper_bound must be finite";
-  (match degree with
-  | Fixed d when d < 2 -> invalid_arg "Filtered.smallest: degree must be >= 2"
-  | _ -> ());
   let h = min h n in
-  let guard = match guard with Some g -> max 2 g | None -> max 16 (h / 3) in
+  let guard = max 16 (h / 3) in
   let b = min n (h + guard) in
   let rng = Rng.create seed in
   let matvec_count = ref 0 in
@@ -206,9 +200,12 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
      boundary (ubiquitous in matmul / hypercube Laplacians) leave the
      filter with no gap to exploit, so boundary copies converge extremely
      slowly.  When the converged prefix stops improving we give up on the
-     tail and *pad* it with the last converged value — sound for every
-     consumer here because eigenvalues ascend (the padded spectrum is a
-     pointwise lower bound), and exact whenever the cluster is flat. *)
+     tail and *pad* it with the last converged Ritz value.  The padding is
+     uncertified, not a lower bound: Ritz values are upper bounds on the
+     eigenvalues they approximate (Cauchy interlacing), so a padded entry
+     can sit above the true lambda_i; it is right (to tolerance) only when
+     the cluster is flat.  [padded] reports how many entries this touched; one-sided
+     certificates are ROADMAP.md item 1. *)
   (* Checkpoint-based stall detection: every [stall_window] iterations the
      run must either have advanced the converged prefix or have shrunk the
      first blocking residual by at least 2x.  Healthy geometric convergence
@@ -315,12 +312,8 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
       let c = (up +. cut) /. 2.0
       and e = Float.max ((up -. cut) /. 2.0) (1e-12 *. up) in
       let d, t =
-        match degree with
-        | Fixed d -> (d, Float.max ((c -. th.(!prefix)) /. e) (1.0 +. 1e-9))
-        | Auto ->
-            auto_degree ~prev:!prev_sweep ~locked:!prefix
-              ~blocking_res:!blocking_res ~threshold ~c ~e
-              ~theta_block:th.(!prefix)
+        auto_degree ~prev:!prev_sweep ~locked:!prefix
+          ~blocking_res:!blocking_res ~threshold ~c ~e ~theta_block:th.(!prefix)
       in
       Graphio_obs.Metrics.set g_degree (float_of_int d);
       if Graphio_obs.Log.enabled Graphio_obs.Log.Debug then
@@ -373,12 +366,11 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(degree = Auto) ?guard
   Graphio_obs.Metrics.add c_padded padded;
   { values; vectors; iterations = !iterations; matvecs = !matvec_count; converged; padded }
 
-let smallest_csr ?tol ?max_iterations ?degree ?guard ?seed ?want_vectors ?init
-    ?on_iteration ?pool ?kernel m ~h =
+let smallest_csr ?tol ?max_iterations ?seed ?want_vectors ?init ?on_iteration
+    ?pool m ~h =
   let rows, cols = Csr.dims m in
   if rows <> cols then invalid_arg "Filtered.smallest_csr: matrix not square";
-  smallest ?tol ?max_iterations ?degree ?guard ?seed ?want_vectors ?init
-    ?on_iteration
-    ~matvec:(Csr.matvec_fn ?pool ?kernel m)
+  smallest ?tol ?max_iterations ?seed ?want_vectors ?init ?on_iteration
+    ~matvec:(Csr.matvec_fn ?pool m)
     ~upper_bound:(Csr.gershgorin_upper m)
     ~n:rows ~h ()

@@ -30,31 +30,24 @@ type result = {
   matvecs : int;
   converged : bool;  (** every reported value passed its residual check *)
   padded : int;
-      (** number of trailing entries of [values] that did {e not} converge
-          and were replaced by the last converged value.  Eigenvalues
-          ascend, so the padded spectrum is a pointwise {e lower} bound on
-          the true one — exactly what the I/O bounds need — and it is
-          exact whenever the unresolved region is a flat multiplicity
-          cluster (the situation that causes padding in the first place:
-          giant clusters straddling the block boundary give the Chebyshev
-          filter no gap to exploit). *)
+      (** number of trailing entries of [values] that did {e not} converge.
+          When the solve stops short (stall or iteration cap) they are
+          replaced by the last converged Ritz value; when nothing
+          converged, [values] are the block's raw Ritz values and [padded]
+          counts all of them.  These entries are {e uncertified}, not a
+          lower bound: Ritz values are {e upper} bounds on the eigenvalues
+          they approximate (Cauchy interlacing, [theta_i >= lambda_i]), so
+          a padded or unconverged entry can sit above the true
+          [lambda_i].  Padding is right (to solver tolerance) only when the
+          unresolved region is a flat multiplicity cluster (the situation
+          that causes it in the first place: giant clusters straddling the
+          block boundary give the Chebyshev filter no gap to exploit).
+          One-sided eigenvalue certificates are ROADMAP.md item 1. *)
 }
-
-type degree = Auto | Fixed of int
-(** Chebyshev filter degree policy, chosen through [?degree] below or
-    {!Eigen.smallest}'s [?filter_degree]; the solver and the CLI always
-    run [Auto].  [Fixed d] uses [d] for every sweep;
-    [Auto] (the default) retunes each sweep from the current Ritz-value
-    spread and the observed residual-decay rate — clamped to [[4, 80]],
-    deterministic for a fixed seed and operator, logged via
-    [solver.filter_degree] debug events and the [la.eigen.filter_degree]
-    gauge (docs/PERFORMANCE.md). *)
 
 val smallest :
   ?tol:float ->
   ?max_iterations:int ->
-  ?degree:degree ->
-  ?guard:int ->
   ?seed:int ->
   ?want_vectors:bool ->
   ?init:float array array ->
@@ -73,8 +66,6 @@ val smallest :
       CSR matrices: {!Csr.gershgorin_upper});
     - [tol] is the residual threshold relative to [upper_bound]
       (default [1e-6]);
-    - [degree] is the Chebyshev filter degree policy (default [Auto]);
-    - [guard] extra block vectors beyond [h] (default [max 16 (h/3)]);
     - [max_iterations] defaults to 300;
     - [init] seeds the leading block columns (warm start): extra donor
       columns are truncated, missing ones padded with the usual random
@@ -85,24 +76,28 @@ val smallest :
       {!Convergence.progress} snapshot (sweep index, cumulative matvecs,
       converged Ritz prefix, first blocking residual).
 
-    Raises [Invalid_argument] on non-positive [n]/[h], a non-finite
-    [upper_bound], or [Fixed d] with [d < 2]. *)
+    The block carries [max 16 (h/3)] guard vectors beyond [h].  The
+    Chebyshev filter degree is retuned each sweep from the current
+    Ritz-value spread and the observed residual-decay rate — clamped to
+    [[4, 80]], deterministic for a fixed seed and operator, logged via
+    [solver.filter_degree] debug events and the [la.eigen.filter_degree]
+    gauge (docs/PERFORMANCE.md).
+
+    Raises [Invalid_argument] on non-positive [n]/[h] or a non-finite
+    [upper_bound]. *)
 
 val smallest_csr :
   ?tol:float ->
   ?max_iterations:int ->
-  ?degree:degree ->
-  ?guard:int ->
   ?seed:int ->
   ?want_vectors:bool ->
   ?init:float array array ->
   ?on_iteration:Convergence.callback ->
   ?pool:Graphio_par.Pool.t ->
-  ?kernel:Csr.kernel ->
   Csr.t ->
   h:int ->
   result
-(** Wrapper over a symmetric CSR matrix (upper bound via Gershgorin).
-    [pool] parallelizes the matvecs row-chunked across domains and
-    [kernel] selects the matvec kernel ({!Csr.default_kernel} when
-    omitted); neither changes any result bitwise ({!Csr.matvec_fn}). *)
+(** Wrapper over a symmetric CSR matrix (upper bound via Gershgorin), with
+    matvecs on the Bigarray kernel ({!Csr.matvec_fn}).  [pool]
+    parallelizes the matvecs row-chunked across domains without changing
+    any result bitwise. *)

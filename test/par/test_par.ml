@@ -188,23 +188,31 @@ let check_against_closed_form ~msg ~tol closed values =
           closed.(i))
     values
 
+let sparse_stats msg (s : Graphio_la.Eigen.spectrum) =
+  match s.Graphio_la.Eigen.stats with
+  | Some st -> st
+  | None -> Alcotest.failf "%s: iterative path must report stats" msg
+
 (* Eigen.smallest forced onto the Chebyshev-filtered sparse backend
    (dense_threshold 0) against the Section 5 closed forms, sequentially and
    through a pool.  h stops at a multiplicity-cluster boundary so the block
-   solver can lock whole eigenspaces. *)
+   solver can lock whole eigenspaces.  The pool changes who runs the
+   matvecs, never how many run. *)
 let filtered_oracle ~msg ~lap ~closed ~h () =
   let seq = Graphio_la.Eigen.smallest ~h ~dense_threshold:0 ~seed:7 lap in
   Alcotest.(check bool) (msg ^ ": sparse backend") true
     (seq.Graphio_la.Eigen.backend = Graphio_la.Eigen.Sparse_filtered);
-  (match seq.Graphio_la.Eigen.stats with
-  | Some s -> Alcotest.(check int) (msg ^ ": no padding") 0 s.Graphio_la.Eigen.padded
-  | None -> Alcotest.fail "iterative path must report stats");
+  let seq_stats = sparse_stats msg seq in
+  Alcotest.(check int) (msg ^ ": no padding") 0 seq_stats.Graphio_la.Eigen.padded;
   check_against_closed_form ~msg:(msg ^ " (sequential)") ~tol:1e-4 closed
     seq.Graphio_la.Eigen.values;
   Pool.with_pool ~size:2 (fun pool ->
       let par = Graphio_la.Eigen.smallest ~h ~dense_threshold:0 ~seed:7 ~pool lap in
       Alcotest.(check bool) (msg ^ ": pooled run bitwise equal") true
-        (bits_equal seq.Graphio_la.Eigen.values par.Graphio_la.Eigen.values))
+        (bits_equal seq.Graphio_la.Eigen.values par.Graphio_la.Eigen.values);
+      Alcotest.(check int) (msg ^ ": pooled run same matvecs")
+        seq_stats.Graphio_la.Eigen.matvecs
+        (sparse_stats msg par).Graphio_la.Eigen.matvecs)
 
 let test_hypercube_oracle () =
   let l = 7 in
@@ -245,6 +253,79 @@ let test_lanczos_oracle () =
       let par = Graphio_la.Lanczos.smallest_csr ~seed:5 ~pool lap ~h in
       Alcotest.(check bool) "pooled lanczos bitwise equal" true
         (bits_equal seq.Graphio_la.Lanczos.values par.Graphio_la.Lanczos.values))
+
+(* ------------------------------------------------------------------ *)
+(* Pinned sparse-path work                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A grid DAG in which every 7th cell gains a diagonal shortcut: still a
+   DAG (edges only increase the row-major index), no longer a grid the
+   recognizer or a closed form would answer. *)
+let perturbed_grid ~rows ~cols =
+  let b = Dag.Builder.create ~capacity_hint:(rows * cols) () in
+  for _ = 1 to rows * cols do
+    ignore (Dag.Builder.add_vertex b)
+  done;
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      let v = (i * cols) + j in
+      if i > 0 then Dag.Builder.add_edge b (v - cols) v;
+      if j > 0 then Dag.Builder.add_edge b (v - 1) v;
+      if i < rows - 1 && j < cols - 1 && v mod 7 = 0 then
+        Dag.Builder.add_edge b v (v + cols + 1)
+    done
+  done;
+  Dag.Builder.build b
+
+(* Exact matvec counts of the filtered eigensolver on the standard
+   Laplacian at h = 32 with the default seed: a cold solve, and a warm
+   solve seeded from the Ritz vectors of a donor solve at h = 24 (the
+   cross-h reuse the cache's Ritz store performs).  The counts are a pure
+   function of the solver code, so a change here is a change in solver
+   work: re-pin it on purpose and say why.  A 2-domain pool must
+   reproduce the counts and the values bit for bit, and the warm bound at
+   M = 16 must agree with the cold one to 1e-4 relative. *)
+let test_pinned_matvecs () =
+  let solve ?pool ?init ?want_vectors ~h lap =
+    Graphio_la.Eigen.smallest ~h ~dense_threshold:0 ?init ?want_vectors ?pool
+      lap
+  in
+  let cold_and_warm ?pool lap =
+    let cold = solve ?pool ~h:32 lap in
+    let donor = solve ?pool ~want_vectors:true ~h:24 lap in
+    (cold, solve ?pool ?init:donor.Graphio_la.Eigen.vectors ~h:32 lap)
+  in
+  let matvecs msg s = (sparse_stats msg s).Graphio_la.Eigen.matvecs in
+  List.iter
+    (fun (name, g, cold_mv, warm_mv) ->
+      let lap = Laplacian.standard g in
+      let cold, warm = cold_and_warm lap in
+      Alcotest.(check int) (name ^ ": cold matvecs") cold_mv (matvecs name cold);
+      Alcotest.(check int) (name ^ ": warm matvecs") warm_mv (matvecs name warm);
+      Pool.with_pool ~size:2 (fun pool ->
+          let pcold, pwarm = cold_and_warm ~pool lap in
+          Alcotest.(check int) (name ^ ": pooled cold matvecs") cold_mv
+            (matvecs name pcold);
+          Alcotest.(check int) (name ^ ": pooled warm matvecs") warm_mv
+            (matvecs name pwarm);
+          Alcotest.(check bool) (name ^ ": pooled values bitwise equal") true
+            (bits_equal cold.Graphio_la.Eigen.values pcold.Graphio_la.Eigen.values
+            && bits_equal warm.Graphio_la.Eigen.values
+                 pwarm.Graphio_la.Eigen.values));
+      let bound s =
+        (Spectral_bound.compute ~n:(Dag.n_vertices g) ~m:16
+           ~eigenvalues:s.Graphio_la.Eigen.values ())
+          .Spectral_bound.bound
+      in
+      let b_cold = bound cold and b_warm = bound warm in
+      if Float.abs (b_warm -. b_cold) > 1e-4 *. (1.0 +. Float.abs b_cold) then
+        Alcotest.failf "%s: warm bound %.10g vs cold bound %.10g" name b_warm
+          b_cold)
+    [
+      ("bhk:8", Bhk.build 8, 1392, 1536);
+      ("perturbed grid 16x16", perturbed_grid ~rows:16 ~cols:16, 3504, 3216);
+      ("er:300:0.03:7", Er.gnp ~n:300 ~p:0.03 ~seed:7, 6432, 4944);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* bound_batch determinism and caching                                 *)
@@ -389,6 +470,11 @@ let () =
             test_butterfly_oracle;
           Alcotest.test_case "butterfly closed form (lanczos)" `Quick
             test_lanczos_oracle;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "sparse eigensolve matvecs pinned" `Quick
+            test_pinned_matvecs;
         ] );
       ( "batch",
         [
