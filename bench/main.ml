@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- fig7 fig11    -- selected sections
      dune exec bench/main.exe -- --csv fig8    -- also dump CSV
      dune exec bench/main.exe -- --quick       -- reduced sweeps (CI-sized)
-     dune exec bench/main.exe -- --json PATH   -- per-section wall time and matvecs
+     dune exec bench/main.exe -- --json PATH   -- per-section wall time and work
      dune exec bench/main.exe -- --faults PLAN -- install a fault plan
      dune exec bench/main.exe -- bechamel      -- micro-benchmarks only
 
@@ -860,6 +860,8 @@ let () =
             ("section", Graphio_obs.Jsonx.String name);
             ("wall_s", Graphio_obs.Jsonx.Float dt);
             ("matvecs", Graphio_obs.Jsonx.Int (delta "la.eigen.matvecs"));
+            ("dense_solves", Graphio_obs.Jsonx.Int dense);
+            ("sparse_solves", Graphio_obs.Jsonx.Int sparse);
             ("backend", Graphio_obs.Jsonx.String backend);
           ]
         :: !records;

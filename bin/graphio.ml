@@ -164,8 +164,10 @@ let handle obs f =
     | Some path -> Graphio_obs.Span.write_chrome_trace path
     | None -> ());
     let summary =
-      if obs.metrics || obs.metrics_out <> None then
+      if obs.metrics || obs.metrics_out <> None then begin
+        Graphio_obs.Runtime.sample ();
         Graphio_obs.Metrics.render_text (Graphio_obs.Metrics.snapshot ())
+      end
       else ""
     in
     if obs.metrics then prerr_string summary;

@@ -20,13 +20,11 @@ let default_dense_threshold = 1024
 let c_dense = Graphio_obs.Metrics.counter "la.eigen.dense_solves"
 let c_sparse = Graphio_obs.Metrics.counter "la.eigen.sparse_solves"
 
-let smallest_dense ?(h = 100) a =
-  let rows, cols = Mat.dims a in
-  if rows <> cols then invalid_arg "Eigen.smallest_dense: matrix not square";
+let dense ~h spectrum =
   Graphio_obs.Span.with_ "eigen.dense" (fun () ->
-      let values = Tql.symmetric_eigenvalues a in
+      let values = spectrum () in
       Graphio_obs.Metrics.incr c_dense;
-      let take = min h rows in
+      let take = min h (Array.length values) in
       {
         values = Array.sub values 0 take;
         backend = Dense;
@@ -35,13 +33,37 @@ let smallest_dense ?(h = 100) a =
         vectors = None;
       })
 
+let smallest_dense ?(h = 100) a =
+  let rows, cols = Mat.dims a in
+  if rows <> cols then invalid_arg "Eigen.smallest_dense: matrix not square";
+  dense ~h (fun () -> Tql.symmetric_eigenvalues a)
+
+(* The CSR's lower triangle, the only one the Householder reduction reads,
+   in one row-major array.  Entries accumulate from 0 as [Csr.to_dense]
+   does, so the array holds the bits of that dense matrix's lower
+   triangle. *)
+let dense_of_lower (m : Csr.t) =
+  let n = m.Csr.rows in
+  let a = Array.make (n * n) 0.0 in
+  for i = 0 to n - 1 do
+    for k = m.Csr.row_ptr.(i) to m.Csr.row_ptr.(i + 1) - 1 do
+      let j = m.Csr.col_idx.(k) in
+      if j <= i then a.((i * n) + j) <- a.((i * n) + j) +. m.Csr.values.(k)
+    done
+  done;
+  a
+
 let smallest ?(h = 100) ?(dense_threshold = default_dense_threshold) ?tol ?seed
     ?init ?want_vectors ?on_iteration ?pool m =
   let rows, cols = Csr.dims m in
   if rows <> cols then invalid_arg "Eigen.smallest: matrix not square";
   if rows = 0 then
     { values = [||]; backend = Dense; exact = true; stats = None; vectors = None }
-  else if rows <= dense_threshold then smallest_dense ~h (Csr.to_dense m)
+  else if rows <= dense_threshold then begin
+    if not (Csr.is_symmetric ~tol:1e-8 m) then
+      invalid_arg "Eigen.smallest: matrix not symmetric";
+    dense ~h (fun () -> Tql.dense_eigenvalues ~n:rows (dense_of_lower m))
+  end
   else
     Graphio_obs.Span.with_ "eigen.filtered" (fun () ->
         (* Chebyshev-filtered block subspace iteration: the block captures

@@ -67,8 +67,11 @@ val smallest :
     path's matvecs across domains — bitwise-identical values either way;
     the dense path ignores it.  [init] (warm-start donor block) and
     [want_vectors] are forwarded to {!Filtered.smallest_csr} on the sparse
-    path and ignored on the dense one.  Raises [Invalid_argument] if [m] is
-    not square. *)
+    path and ignored on the dense one.  The dense path copies the lower
+    triangle of [m] straight into the flat array the Householder reduction
+    runs on ({!Tql.dense_eigenvalues}).  Raises [Invalid_argument] if [m]
+    is not square, or if it takes the dense path and is not symmetric to
+    within [1e-8] ({!Csr.is_symmetric}). *)
 
 val smallest_dense : ?h:int -> Mat.t -> spectrum
 (** Force the dense path on a dense symmetric matrix. *)

@@ -7,35 +7,44 @@ type result = {
   padded : int;
 }
 
+(* Unchecked access: every vector of a solve has length n, and the
+   small matrices are b x b. *)
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 (* Degree-[d] Chebyshev filter applied to one vector, in place:
    x <- T_d((A - c I)/e) x  with  c = (up + cut)/2, e = (up - cut)/2.
    T_d is <= 1 in magnitude on [cut, up] and grows like
    cosh(d arccosh(|t|)) below cut, so wanted components dominate after
    filtering.  Columns are renormalized when they grow huge; the caller
-   re-orthonormalizes afterwards anyway. *)
-let chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree x =
+   re-orthonormalizes afterwards anyway.  The three-term recurrence
+   rotates through [bufs], four length-n arrays allocated once per
+   solve, and the overflow guard's infinity norm ([Vec.norm_inf]'s fold)
+   is folded into the recurrence loop. *)
+let chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree bufs x =
   let n = Array.length x in
-  let t0 = Array.copy x in
-  let t1 = Array.make n 0.0 in
-  let av = Array.make n 0.0 in
+  let t0 = bufs.(0) and t1 = bufs.(1) and av = bufs.(3) in
+  Array.blit x 0 t0 0 n;
   matvec t0 av;
   incr matvec_count;
   for i = 0 to n - 1 do
-    t1.(i) <- (av.(i) -. (c *. t0.(i))) /. e
+    set t1 i ((get av i -. (c *. get t0 i)) /. e)
   done;
-  let t2 = Array.make n 0.0 in
-  let t0 = ref t0 and t1 = ref t1 and t2 = ref t2 in
+  let two_e = 2.0 /. e in
+  let t0 = ref t0 and t1 = ref t1 and t2 = ref bufs.(2) in
   for _ = 2 to degree do
     matvec !t1 av;
     incr matvec_count;
     let a = !t0 and b = !t1 and out = !t2 in
+    let nrm = ref 0.0 in
     for i = 0 to n - 1 do
-      out.(i) <- (2.0 /. e *. (av.(i) -. (c *. b.(i)))) -. a.(i)
+      let y = (two_e *. (get av i -. (c *. get b i))) -. get a i in
+      set out i y;
+      nrm := Vec.max_abs !nrm y
     done;
     (* guard against overflow of the unnormalized polynomial *)
-    let nrm = Vec.norm_inf out in
-    if nrm > 1e120 then begin
-      let s = 1.0 /. nrm in
+    if !nrm > 1e120 then begin
+      let s = 1.0 /. !nrm in
       Vec.scale_inplace s out;
       Vec.scale_inplace s b
     end;
@@ -43,7 +52,39 @@ let chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree x =
     t1 := out;
     t2 := a
   done;
-  !t1
+  Array.blit !t1 0 x 0 n
+
+(* Two passes of modified Gram-Schmidt against [block.(0 .. j-1)], each
+   axpy fused with the next projection's dot: v <- v - c_t b_t, and in
+   the same loop c_(t+1) = b_(t+1) . v.  A zero coefficient skips its
+   axpy, as [Vec.orthogonalize_against] does. *)
+let orthogonalize_prefix block j v =
+  if j > 0 then begin
+    let n = Array.length v and steps = 2 * j in
+    let c = ref (Vec.dot block.(0) v) in
+    for t = 0 to steps - 1 do
+      let b = block.(t mod j) and nc = -. !c in
+      if t + 1 = steps then begin
+        if !c <> 0.0 then
+          for i = 0 to n - 1 do
+            set v i ((nc *. get b i) +. get v i)
+          done
+      end
+      else begin
+        let next = block.((t + 1) mod j) in
+        if !c <> 0.0 then begin
+          let acc = ref 0.0 in
+          for i = 0 to n - 1 do
+            let y = (nc *. get b i) +. get v i in
+            set v i y;
+            acc := !acc +. (get next i *. y)
+          done;
+          c := !acc
+        end
+        else c := Vec.dot next v
+      end
+    done
+  end
 
 (* Orthonormalize the block in place (two-pass modified Gram-Schmidt);
    columns that collapse are replaced by fresh random directions
@@ -51,9 +92,8 @@ let chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree x =
 let orthonormalize_block rng block =
   let b = Array.length block in
   for j = 0 to b - 1 do
-    let accepted = Array.sub block 0 j in
     let rec fix attempts v =
-      Vec.orthogonalize_against accepted v;
+      orthogonalize_prefix block j v;
       let nv = Vec.norm2 v in
       if nv > 1e-10 then begin
         Vec.scale_inplace (1.0 /. nv) v;
@@ -63,13 +103,58 @@ let orthonormalize_block rng block =
         (* keep a deterministic fallback direction *)
         Vec.scale_inplace 0.0 v;
         v.(j mod Array.length v) <- 1.0;
-        Vec.orthogonalize_against accepted v;
+        orthogonalize_prefix block j v;
         Vec.normalize_inplace v;
         v
       end
       else fix (attempts - 1) (Rng.unit_vector rng (Array.length v))
     in
     block.(j) <- fix 3 block.(j)
+  done
+
+(* The Rayleigh-Ritz data H = X^T A X and G = (AX)^T AX, row-major b x b,
+   four columns at a time: one pass over the vectors forms H and G for
+   columns j..j+3 of row i.  Each entry is still one left-to-right dot
+   ([Vec.dot]'s order); the upper triangle is computed and mirrored. *)
+let gram block ax hm gm =
+  let b = Array.length block in
+  let n = if b = 0 then 0 else Array.length block.(0) in
+  let store i j h g =
+    set hm ((i * b) + j) h;
+    set hm ((j * b) + i) h;
+    set gm ((i * b) + j) g;
+    set gm ((j * b) + i) g
+  in
+  for i = 0 to b - 1 do
+    let x = block.(i) and y = ax.(i) in
+    let j = ref i in
+    while !j + 3 < b do
+      let j0 = !j in
+      let a0 = ax.(j0) and a1 = ax.(j0 + 1) and a2 = ax.(j0 + 2)
+      and a3 = ax.(j0 + 3) in
+      let h0 = ref 0.0 and h1 = ref 0.0 and h2 = ref 0.0 and h3 = ref 0.0 in
+      let g0 = ref 0.0 and g1 = ref 0.0 and g2 = ref 0.0 and g3 = ref 0.0 in
+      for k = 0 to n - 1 do
+        let xk = get x k and yk = get y k in
+        let c0 = get a0 k and c1 = get a1 k and c2 = get a2 k and c3 = get a3 k in
+        h0 := !h0 +. (xk *. c0);
+        h1 := !h1 +. (xk *. c1);
+        h2 := !h2 +. (xk *. c2);
+        h3 := !h3 +. (xk *. c3);
+        g0 := !g0 +. (yk *. c0);
+        g1 := !g1 +. (yk *. c1);
+        g2 := !g2 +. (yk *. c2);
+        g3 := !g3 +. (yk *. c3)
+      done;
+      store i j0 !h0 !g0;
+      store i (j0 + 1) !h1 !g1;
+      store i (j0 + 2) !h2 !g2;
+      store i (j0 + 3) !h3 !g3;
+      j := j0 + 4
+    done;
+    for j = !j to b - 1 do
+      store i j (Vec.dot x ax.(j)) (Vec.dot y ax.(j))
+    done
   done
 
 let c_matvecs = Graphio_obs.Metrics.counter "la.eigen.matvecs"
@@ -190,8 +275,12 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(seed = 0x5eed)
   in
   orthonormalize_block rng block;
   let ax = Array.init b (fun _ -> Array.make n 0.0) in
+  let hm = Array.make (b * b) 0.0 and gm = Array.make (b * b) 0.0 in
+  let gs = Array.make b 0.0 in
+  let bufs = Array.init 4 (fun _ -> Array.make n 0.0) in
   let theta = ref [||] in
-  let ritz = ref (Mat.identity b) in
+  (* Row j: the coefficients of Ritz vector j in the block's basis. *)
+  let ritz = ref [||] in
   let converged_prefix = ref 0 in
   let iterations = ref 0 in
   let threshold = Float.max (tol *. up) 1e-13 in
@@ -225,39 +314,30 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(seed = 0x5eed)
       matvec block.(j) ax.(j);
       incr matvec_count
     done;
-    let hmat = Mat.create b b and gmat = Mat.create b b in
-    for i = 0 to b - 1 do
-      for j = i to b - 1 do
-        let hij = Vec.dot block.(i) ax.(j) in
-        hmat.(i).(j) <- hij;
-        hmat.(j).(i) <- hij;
-        let gij = Vec.dot ax.(i) ax.(j) in
-        gmat.(i).(j) <- gij;
-        gmat.(j).(i) <- gij
-      done
-    done;
-    let th, s = Tql.symmetric_eigensystem hmat in
+    gram block ax hm gm;
+    let th, s = Tql.dense_eigensystem ~n:b hm in
     theta := th;
     ritz := s;
     (* Converged prefix by residual norms computed in the small basis:
        ||A y_i - th_i y_i||^2 = s_i^T G s_i - th_i^2  (X orthonormal). *)
-    let gs = Array.make b 0.0 in
     let prefix = ref 0 in
     let stop = ref false in
     let blocking_res = ref 0.0 in
     while (not !stop) && !prefix < min h b do
-      let j = !prefix in
+      let sj = !prefix * b in
       for i = 0 to b - 1 do
+        let gi = i * b in
         let acc = ref 0.0 in
         for k2 = 0 to b - 1 do
-          acc := !acc +. (gmat.(i).(k2) *. s.(k2).(j))
+          acc := !acc +. (get gm (gi + k2) *. get s (sj + k2))
         done;
-        gs.(i) <- !acc
+        set gs i !acc
       done;
       let sgs = ref 0.0 in
       for i = 0 to b - 1 do
-        sgs := !sgs +. (s.(i).(j) *. gs.(i))
+        sgs := !sgs +. (get s (sj + i) *. get gs i)
       done;
+      let j = !prefix in
       let res2 = Float.max 0.0 (!sgs -. (th.(j) *. th.(j))) in
       let res = sqrt res2 in
       if res <= threshold then incr prefix
@@ -327,8 +407,7 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(seed = 0x5eed)
           ];
       prev_sweep := Some (d, t, !blocking_res);
       for j = 0 to b - 1 do
-        block.(j) <-
-          chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree:d block.(j)
+        chebyshev_apply ~matvec ~matvec_count ~c ~e ~degree:d bufs block.(j)
       done;
       orthonormalize_block rng block
     end
@@ -352,7 +431,7 @@ let smallest ?(tol = 1e-6) ?(max_iterations = 300) ?(seed = 0x5eed)
         (Array.init take (fun j ->
              let y = Array.make n 0.0 in
              for i = 0 to b - 1 do
-               let sij = s.(i).(j) in
+               let sij = s.((j * b) + i) in
                if sij <> 0.0 then Vec.axpy sij block.(i) y
              done;
              y))

@@ -1,8 +1,9 @@
 (** Dense matrices stored row-major as [float array array].
 
     Used for small/medium problems (n up to a few thousand): building dense
-    Laplacians, the Householder/QL eigensolver path, and cross-checks of the
-    sparse code.  Rows are independent arrays, so [m.(i).(j)] addresses row
+    Laplacians, the [Mat.t] entry points of the Householder/QL eigensolver
+    (which itself runs on one flat array, see {!Tridiag}), and cross-checks
+    of the sparse code.  Rows are independent arrays, so [m.(i).(j)] addresses row
     [i], column [j]. *)
 
 type t = float array array

@@ -1,3 +1,6 @@
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 exception No_convergence of int
 
 let pythag a b = Float.hypot a b
@@ -5,8 +8,10 @@ let pythag a b = Float.hypot a b
 (* Implicit-shift QL with Wilkinson shift, following the classic tqli
    routine.  [d] and [e] are mutated in place; [e] uses the tqli internal
    convention after the initial left-shift ([e.(i)] couples rows i,i+1).
-   [z], when present, accumulates the rotations applied column-wise. *)
-let solve_inplace d e (z : Mat.t option) =
+   [zt], when present, is the n x n row-major transpose of the matrix
+   tqli rotates column-wise: each rotation mixes two of its contiguous
+   rows. *)
+let solve_inplace d e (zt : float array option) =
   let n = Array.length d in
   if Array.length e <> n then invalid_arg "Tql: d/e length mismatch";
   if n > 1 then begin
@@ -55,13 +60,14 @@ let solve_inplace d e (z : Mat.t option) =
               p := !s *. rr;
               d.(!i + 1) <- gg +. !p;
               g := (!c *. rr) -. b;
-              (match z with
+              (match zt with
               | Some z ->
-                  let ii = !i in
+                  let s = !s and c = !c in
+                  let r0 = !i * n and r1 = (!i + 1) * n in
                   for k = 0 to n - 1 do
-                    let f = z.(k).(ii + 1) in
-                    z.(k).(ii + 1) <- (!s *. z.(k).(ii)) +. (!c *. f);
-                    z.(k).(ii) <- (!c *. z.(k).(ii)) -. (!s *. f)
+                    let f = get z (r1 + k) and x = get z (r0 + k) in
+                    set z (r1 + k) ((s *. x) +. (c *. f));
+                    set z (r0 + k) ((c *. x) -. (s *. f))
                   done
               | None -> ());
               decr i
@@ -89,23 +95,36 @@ let eigenvalues ~d ~e =
   Array.sort Float.compare d;
   d
 
-let eigensystem ~d ~e ?z () =
-  let n = Array.length d in
-  let z = match z with Some z -> Mat.copy z | None -> Mat.identity n in
-  let zr, zc = Mat.dims z in
-  if zc <> n then invalid_arg "Tql.eigensystem: z column count mismatch";
-  let d = Array.copy d and e = Array.copy e in
-  solve_inplace d e (Some z);
-  let idx = sort_permutation d in
-  let values = Array.init n (fun j -> d.(idx.(j))) in
-  let vectors = Mat.init zr n (fun i j -> z.(i).(idx.(j))) in
-  (values, vectors)
-
-let symmetric_eigenvalues a =
-  let { Tridiag.d; e; _ } = Tridiag.reduce ~with_q:false a in
+let dense_eigenvalues ~n a =
+  let d, e = Tridiag.reduce ~with_q:false ~n a in
   eigenvalues ~d ~e
 
+let dense_eigensystem ~n a =
+  let d, e = Tridiag.reduce ~with_q:true ~n a in
+  solve_inplace d e (Some a);
+  let idx = sort_permutation d in
+  let values = Array.init n (fun j -> d.(idx.(j))) in
+  let vectors = Array.make (n * n) 0.0 in
+  Array.iteri (fun j src -> Array.blit a (src * n) vectors (j * n) n) idx;
+  (values, vectors)
+
+(* The lower triangle of a dense symmetric matrix, the only triangle the
+   reduction reads, in one row-major array. *)
+let flat_of_mat a =
+  let n, cols = Mat.dims a in
+  if n <> cols then invalid_arg "Tql: matrix not square";
+  if not (Mat.is_symmetric ~tol:1e-8 a) then invalid_arg "Tql: matrix not symmetric";
+  let f = Array.make (n * n) 0.0 in
+  for i = 0 to n - 1 do
+    Array.blit a.(i) 0 f (i * n) (i + 1)
+  done;
+  (n, f)
+
+let symmetric_eigenvalues a =
+  let n, f = flat_of_mat a in
+  dense_eigenvalues ~n f
+
 let symmetric_eigensystem a =
-  let { Tridiag.d; e; q } = Tridiag.reduce ~with_q:true a in
-  let z = match q with Some q -> q | None -> assert false in
-  eigensystem ~d ~e ~z ()
+  let n, f = flat_of_mat a in
+  let values, vectors = dense_eigensystem ~n f in
+  (values, Mat.init n n (fun i j -> vectors.((j * n) + i)))

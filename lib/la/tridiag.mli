@@ -4,19 +4,19 @@
     [tred2] reduction): a symmetric [n x n] matrix [A] is transformed by a
     sequence of Householder reflections into a symmetric tridiagonal matrix
     with diagonal [d] and sub-diagonal [e], optionally accumulating the
-    orthogonal transformation [Q] such that [A = Q T Qᵀ]. *)
+    orthogonal transformation [Q] such that [A = Q T Qᵀ].
 
-type t = {
-  d : float array;  (** diagonal, length [n] *)
-  e : float array;  (** sub/super-diagonal, length [n]; [e.(0)] is unused and 0 *)
-  q : Mat.t option;  (** accumulated transform when requested *)
-}
+    The matrix is one row-major [float array], of which the reduction
+    reads and updates only the lower triangle, as [tred2] does; every
+    inner loop walks a contiguous row.  It computes bit for bit what
+    [tred2] computes on a nested-array matrix (docs/PERFORMANCE.md,
+    "Dense kernels"). *)
 
-val reduce : ?with_q:bool -> Mat.t -> t
-(** [reduce a] tridiagonalizes symmetric [a] (the input is copied, not
-    mutated).  Raises [Invalid_argument] if [a] is not square or not
-    symmetric to a loose tolerance.  With [~with_q:true] (default [false])
-    the orthogonal accumulation is returned for eigenvector recovery. *)
-
-val to_dense : t -> Mat.t
-(** Rebuild the tridiagonal matrix [T] as a dense matrix (for testing). *)
+val reduce : with_q:bool -> n:int -> float array -> float array * float array
+(** [reduce ~with_q ~n a] tridiagonalizes the symmetric [n x n] matrix
+    whose lower triangle is held by the row-major [a], in place, and
+    returns [(d, e)]: the diagonal, and the sub-diagonal with [e.(0) = 0].
+    The upper triangle of [a] is never read.  With [~with_q:true], [a]
+    holds [Qᵀ] on return (row [j] of [a] is column [j] of [Q]);
+    otherwise its contents are destroyed.  Raises [Invalid_argument] if
+    [a] does not have [n * n] entries. *)

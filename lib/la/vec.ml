@@ -19,26 +19,40 @@ let dot x y =
   !acc
 
 let norm2 x =
-  (* Scaled to avoid overflow/underflow for extreme magnitudes. *)
+  (* Scaled to avoid overflow/underflow for extreme magnitudes.  A plain
+     loop, so the two accumulators stay unboxed. *)
   let scale = ref 0.0 and ssq = ref 1.0 in
-  Array.iter
-    (fun xi ->
-      if xi <> 0.0 then begin
-        let absxi = Float.abs xi in
-        if !scale < absxi then begin
-          let r = !scale /. absxi in
-          ssq := 1.0 +. (!ssq *. r *. r);
-          scale := absxi
-        end
-        else begin
-          let r = absxi /. !scale in
-          ssq := !ssq +. (r *. r)
-        end
-      end)
-    x;
+  for i = 0 to Array.length x - 1 do
+    let xi = x.(i) in
+    if xi <> 0.0 then begin
+      let absxi = Float.abs xi in
+      if !scale < absxi then begin
+        let r = !scale /. absxi in
+        ssq := 1.0 +. (!ssq *. r *. r);
+        scale := absxi
+      end
+      else begin
+        let r = absxi /. !scale in
+        ssq := !ssq +. (r *. r)
+      end
+    end
+  done;
   !scale *. sqrt !ssq
 
-let norm_inf x = Array.fold_left (fun acc xi -> Float.max acc (Float.abs xi)) 0.0 x
+(* With acc's sign bit clear, both operands have a clear sign bit, so
+   Float.max's signed-zero test (two C calls to [sign_bit] per element)
+   can never fire; what is left is this comparison, which propagates NaN
+   exactly as Float.max does. *)
+let max_abs acc x =
+  let z = Float.abs x in
+  if z > acc || z <> z then z else acc
+
+let norm_inf x =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    acc := max_abs !acc x.(i)
+  done;
+  !acc
 
 let scale a x = Array.map (fun xi -> a *. xi) x
 

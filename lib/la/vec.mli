@@ -18,6 +18,14 @@ val norm2 : float array -> float
 (** Euclidean norm, computed with overflow-safe scaling. *)
 
 val norm_inf : float array -> float
+(** Largest absolute value; [0.] on the empty vector; NaN if any entry
+    is NaN. *)
+
+val max_abs : float -> float -> float
+(** [max_abs acc x] is [Float.max acc (Float.abs x)], bit for bit, for
+    every [acc] whose sign bit is clear — as is every value of a fold
+    that starts from [0.].  It is the step of {!norm_inf}, without
+    [Float.max]'s signed-zero tests. *)
 
 val scale : float -> float array -> float array
 

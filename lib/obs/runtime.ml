@@ -1,6 +1,5 @@
 (* Gc.quick_stat is cheap (no heap walk), so sampling on demand — at
-   metrics exposition, bench section ends — costs nothing on request
-   paths. *)
+   metrics exposition and CLI exit — costs nothing on request paths. *)
 
 let g_heap_words =
   Metrics.gauge ~help:"major heap size in words" "runtime.gc.heap_words"

@@ -145,34 +145,50 @@ let random_symmetric rng n =
   let a = Mat.init n n (fun _ _ -> Rng.gaussian rng) in
   Mat.symmetrize a
 
+(* The lower triangle of [a] in one row-major array, the input layout of
+   [Tridiag.reduce], with NaN above the diagonal: the reduction must
+   never read there. *)
+let flat a =
+  let n = Array.length a in
+  (n, Array.init (n * n) (fun k -> if k mod n > k / n then Float.nan else a.(k / n).(k mod n)))
+
+let tridiagonal ~d ~e =
+  let n = Array.length d in
+  Mat.init n n (fun i j ->
+      if i = j then d.(i)
+      else if i = j + 1 then e.(i)
+      else if j = i + 1 then e.(j)
+      else 0.0)
+
 let test_tridiag_preserves_spectrum () =
   let rng = Rng.create 3 in
   let a = random_symmetric rng 12 in
-  let t = Tridiag.reduce a in
-  let from_tridiag = Tql.eigenvalues ~d:t.Tridiag.d ~e:t.Tridiag.e in
+  let n, f = flat a in
+  let d, e = Tridiag.reduce ~with_q:false ~n f in
+  let from_tridiag = Tql.eigenvalues ~d ~e in
   let from_jacobi = Jacobi.eigenvalues a in
   Alcotest.check (float_array_approx 1e-8) "spectra agree" from_jacobi from_tridiag
+
+(* [Tridiag.reduce ~with_q:true] leaves Q transposed in its input. *)
+let reduce_with_q a =
+  let n, f = flat a in
+  let d, e = Tridiag.reduce ~with_q:true ~n f in
+  (d, e, Mat.init n n (fun i j -> f.((j * n) + i)))
 
 let test_tridiag_q_orthogonal () =
   let rng = Rng.create 4 in
   let a = random_symmetric rng 10 in
-  let t = Tridiag.reduce ~with_q:true a in
-  match t.Tridiag.q with
-  | None -> Alcotest.fail "expected q"
-  | Some q ->
-      let qtq = Mat.mul (Mat.transpose q) q in
-      Alcotest.(check bool) "QtQ = I" true
-        (Mat.approx_equal ~tol:1e-10 qtq (Mat.identity 10))
+  let _, _, q = reduce_with_q a in
+  let qtq = Mat.mul (Mat.transpose q) q in
+  Alcotest.(check bool) "QtQ = I" true
+    (Mat.approx_equal ~tol:1e-10 qtq (Mat.identity 10))
 
 let test_tridiag_reconstruction () =
   let rng = Rng.create 5 in
   let a = random_symmetric rng 9 in
-  let t = Tridiag.reduce ~with_q:true a in
-  match t.Tridiag.q with
-  | None -> Alcotest.fail "expected q"
-  | Some q ->
-      let reconstructed = Mat.mul q (Mat.mul (Tridiag.to_dense t) (Mat.transpose q)) in
-      Alcotest.(check bool) "Q T Qt = A" true (Mat.approx_equal ~tol:1e-9 reconstructed a)
+  let d, e, q = reduce_with_q a in
+  let reconstructed = Mat.mul q (Mat.mul (tridiagonal ~d ~e) (Mat.transpose q)) in
+  Alcotest.(check bool) "Q T Qt = A" true (Mat.approx_equal ~tol:1e-9 reconstructed a)
 
 let test_tql_dirichlet_closed_form () =
   List.iter
@@ -582,6 +598,12 @@ let test_eigen_paths_agree () =
   let sparse = Eigen.smallest ~h:10 ~dense_threshold:10 m in
   Alcotest.check (float_array_approx 1e-6) "agree" dense.Eigen.values sparse.Eigen.values
 
+let test_eigen_rejects_asymmetric () =
+  let m = Csr.of_triplets ~rows:3 ~cols:3 [ (0, 1, 1.0); (1, 0, 2.0); (2, 2, 1.0) ] in
+  match Eigen.smallest m with
+  | _ -> Alcotest.fail "asymmetric CSR accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_eigen_pooled_path_bitwise () =
   (* low dense_threshold forces the filtered backend; the pooled matvec
      must leave its eigenvalues bitwise unchanged *)
@@ -698,6 +720,115 @@ let prop_ba_matvec_bitwise =
       let x = Array.init cols (fun _ -> Rng.gaussian rng) in
       bitwise_equal (Csr.matvec m x) (Csr.Ba.matvec (Csr.Ba.of_csr m) x))
 
+(* Symmetric matrices that reach every branch of the Householder
+   reduction, by [(kind, seed, n)]: dense with entries of magnitude
+   2^-30..2^30 (kind 0), the same with zeroed rows and columns (1),
+   block-diagonal, where a row that is zero left of its diagonal takes
+   the [scale = 0] branch (2), and the standard (3) and normalized (4)
+   Laplacians of random DAGs. *)
+let oracle_matrix (kind, seed, n) =
+  let rng = Rng.create seed in
+  let entry () = Rng.gaussian rng *. Float.ldexp 1.0 (Rng.int rng 61 - 30) in
+  let a = Mat.create n n in
+  let fill keep =
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        if keep i j then begin
+          let x = entry () in
+          a.(i).(j) <- x;
+          a.(j).(i) <- x
+        end
+      done
+    done
+  in
+  (match kind with
+  | 0 -> fill (fun _ _ -> true)
+  | 1 ->
+      let zero = Array.init n (fun _ -> Rng.float rng < 0.3) in
+      fill (fun i j -> not (zero.(i) || zero.(j)))
+  | 2 ->
+      let block = Array.make n 0 in
+      for i = 1 to n - 1 do
+        block.(i) <- (if Rng.float rng < 0.25 then block.(i - 1) + 1 else block.(i - 1))
+      done;
+      fill (fun i j -> block.(i) = block.(j))
+  | _ ->
+      let p = 3.0 /. float_of_int (max n 1) in
+      let deg = Array.make n 0 and edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Rng.float rng < p then begin
+            edges := (u, v) :: !edges;
+            deg.(u) <- deg.(u) + 1;
+            deg.(v) <- deg.(v) + 1
+          end
+        done
+      done;
+      let off u v =
+        if kind = 3 then -1.0
+        else -1.0 /. sqrt (float_of_int deg.(u) *. float_of_int deg.(v))
+      in
+      List.iter (fun (u, v) -> a.(u).(v) <- off u v; a.(v).(u) <- off u v) !edges;
+      for u = 0 to n - 1 do
+        a.(u).(u) <-
+          (if kind = 3 then float_of_int deg.(u) else if deg.(u) > 0 then 1.0 else 0.0)
+      done);
+  a
+
+let mat_bitwise_equal a b =
+  Array.length a = Array.length b && Array.for_all2 bitwise_equal a b
+
+(* The flat Householder reduction and everything built on it against the
+   nested-array tred2 and tqli they replace: d, e and Q, the eigenvalues
+   and eigenvectors, and the CSR dense path, all bit for bit. *)
+let prop_flat_reduction_bitwise =
+  QCheck2.Test.make ~name:"flat Householder bitwise-equal to nested tred2"
+    ~count:500
+    ~print:(fun (k, s, n) -> Printf.sprintf "kind %d seed %d n %d" k s n)
+    QCheck2.Gen.(triple (int_range 0 4) (int_range 0 1_000_000) (int_range 0 64))
+    (fun spec ->
+      let a = oracle_matrix spec in
+      let n = Array.length a in
+      let reference = Oracle.reduce a in
+      let _, f = flat a in
+      let d, e = Tridiag.reduce ~with_q:false ~n f in
+      let d_q, e_q, q = reduce_with_q a in
+      let reference_q = Oracle.reduce ~with_q:true a in
+      let values, vectors = Tql.symmetric_eigensystem a in
+      let ref_values, ref_vectors = Oracle.symmetric_eigensystem a in
+      let m = Csr.of_dense a in
+      let csr_values =
+        (Eigen.smallest ~h:(max n 1) ~dense_threshold:max_int m).Eigen.values
+      in
+      bitwise_equal d reference.Oracle.d
+      && bitwise_equal e reference.Oracle.e
+      && bitwise_equal d_q reference_q.Oracle.d
+      && bitwise_equal e_q reference_q.Oracle.e
+      && mat_bitwise_equal q (Option.get reference_q.Oracle.q)
+      && bitwise_equal (Tql.symmetric_eigenvalues a) (Oracle.symmetric_eigenvalues a)
+      && bitwise_equal values ref_values
+      && mat_bitwise_equal vectors ref_vectors
+      && bitwise_equal csr_values
+           (Oracle.symmetric_eigenvalues (Csr.to_dense m)))
+
+(* [Vec.norm_inf] against the [Float.max] fold it replaces, bit for bit,
+   on vectors salted with signed zeros, infinities and NaNs of either
+   sign and a non-default payload. *)
+let prop_norm_inf_is_float_max_fold =
+  let special =
+    [| 0.0; -0.0; infinity; neg_infinity; Float.nan; -.Float.nan;
+       Int64.float_of_bits 0x7ff0_0000_0000_0123L |]
+  in
+  QCheck2.Test.make ~name:"norm_inf bitwise-equal to the Float.max fold"
+    ~count:300
+    QCheck2.Gen.(
+      array_size (int_range 0 12)
+        (oneof
+           [ float_range (-1e3) 1e3; map (fun i -> special.(i)) (int_range 0 6) ]))
+    (fun v ->
+      let fold = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v in
+      Int64.equal (Int64.bits_of_float fold) (Int64.bits_of_float (Vec.norm_inf v)))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -708,6 +839,8 @@ let props =
       prop_gram_matrix_psd;
       prop_csr_matvec_linear;
       prop_ba_matvec_bitwise;
+      prop_flat_reduction_bitwise;
+      prop_norm_inf_is_float_max_fold;
     ]
 
 let () =
@@ -805,6 +938,8 @@ let () =
           Alcotest.test_case "paths agree" `Quick test_eigen_paths_agree;
           Alcotest.test_case "pooled path bitwise" `Quick
             test_eigen_pooled_path_bitwise;
+          Alcotest.test_case "rejects asymmetric" `Quick
+            test_eigen_rejects_asymmetric;
         ] );
       ( "toeplitz",
         [

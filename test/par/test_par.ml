@@ -282,26 +282,47 @@ let perturbed_grid ~rows ~cols =
    solve seeded from the Ritz vectors of a donor solve at h = 24 (the
    cross-h reuse the cache's Ritz store performs).  The counts are a pure
    function of the solver code, so a change here is a change in solver
-   work: re-pin it on purpose and say why.  A 2-domain pool must
+   work: re-pin it on purpose and say why.  The IEEE bits are pinned too,
+   as an MD5 over the [Int64.bits_of_float] of the cold and warm
+   eigenvalues and of the blocking residual each sweep reported (the
+   residuals are the only output the Gram matrix G reaches): a count can
+   survive a rounding change, the bits cannot.  A 2-domain pool must
    reproduce the counts and the values bit for bit, and the warm bound at
    M = 16 must agree with the cold one to 1e-4 relative. *)
+let bits_digest (s, residuals) =
+  let b = Buffer.create 512 in
+  let add v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  Array.iter add s.Graphio_la.Eigen.values;
+  List.iter add residuals;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let test_pinned_matvecs () =
   let solve ?pool ?init ?want_vectors ~h lap =
-    Graphio_la.Eigen.smallest ~h ~dense_threshold:0 ?init ?want_vectors ?pool
-      lap
+    let residuals = ref [] in
+    let on_iteration p =
+      residuals := p.Graphio_la.Convergence.residual :: !residuals
+    in
+    let s =
+      Graphio_la.Eigen.smallest ~h ~dense_threshold:0 ?init ?want_vectors
+        ?pool ~on_iteration lap
+    in
+    (s, List.rev !residuals)
   in
   let cold_and_warm ?pool lap =
     let cold = solve ?pool ~h:32 lap in
-    let donor = solve ?pool ~want_vectors:true ~h:24 lap in
+    let donor, _ = solve ?pool ~want_vectors:true ~h:24 lap in
     (cold, solve ?pool ?init:donor.Graphio_la.Eigen.vectors ~h:32 lap)
   in
-  let matvecs msg s = (sparse_stats msg s).Graphio_la.Eigen.matvecs in
+  let matvecs msg (s, _) = (sparse_stats msg s).Graphio_la.Eigen.matvecs in
+  let values (s, _) = s.Graphio_la.Eigen.values in
   List.iter
-    (fun (name, g, cold_mv, warm_mv) ->
+    (fun (name, g, (cold_mv, cold_bits), (warm_mv, warm_bits)) ->
       let lap = Laplacian.standard g in
       let cold, warm = cold_and_warm lap in
       Alcotest.(check int) (name ^ ": cold matvecs") cold_mv (matvecs name cold);
       Alcotest.(check int) (name ^ ": warm matvecs") warm_mv (matvecs name warm);
+      Alcotest.(check string) (name ^ ": cold bits") cold_bits (bits_digest cold);
+      Alcotest.(check string) (name ^ ": warm bits") warm_bits (bits_digest warm);
       Pool.with_pool ~size:2 (fun pool ->
           let pcold, pwarm = cold_and_warm ~pool lap in
           Alcotest.(check int) (name ^ ": pooled cold matvecs") cold_mv
@@ -309,12 +330,11 @@ let test_pinned_matvecs () =
           Alcotest.(check int) (name ^ ": pooled warm matvecs") warm_mv
             (matvecs name pwarm);
           Alcotest.(check bool) (name ^ ": pooled values bitwise equal") true
-            (bits_equal cold.Graphio_la.Eigen.values pcold.Graphio_la.Eigen.values
-            && bits_equal warm.Graphio_la.Eigen.values
-                 pwarm.Graphio_la.Eigen.values));
+            (bits_equal (values cold) (values pcold)
+            && bits_equal (values warm) (values pwarm)));
       let bound s =
         (Spectral_bound.compute ~n:(Dag.n_vertices g) ~m:16
-           ~eigenvalues:s.Graphio_la.Eigen.values ())
+           ~eigenvalues:(values s) ())
           .Spectral_bound.bound
       in
       let b_cold = bound cold and b_warm = bound warm in
@@ -322,9 +342,18 @@ let test_pinned_matvecs () =
         Alcotest.failf "%s: warm bound %.10g vs cold bound %.10g" name b_warm
           b_cold)
     [
-      ("bhk:8", Bhk.build 8, 1392, 1536);
-      ("perturbed grid 16x16", perturbed_grid ~rows:16 ~cols:16, 3504, 3216);
-      ("er:300:0.03:7", Er.gnp ~n:300 ~p:0.03 ~seed:7, 6432, 4944);
+      ( "bhk:8",
+        Bhk.build 8,
+        (1392, "d14ac0c64396c6b7f8b5fe88e3203797"),
+        (1536, "048203bd034e2198b192052238eb3851") );
+      ( "perturbed grid 16x16",
+        perturbed_grid ~rows:16 ~cols:16,
+        (3504, "4e010879d11190f368c095dcb72a6003"),
+        (3216, "244aa6499a546f8f51c37910db6707da") );
+      ( "er:300:0.03:7",
+        Er.gnp ~n:300 ~p:0.03 ~seed:7,
+        (6432, "ce9d344c31fc32fd477b8555b83a973a"),
+        (4944, "3342cb9035e72aad3a656220797e1260") );
     ]
 
 (* ------------------------------------------------------------------ *)
