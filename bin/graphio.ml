@@ -702,10 +702,8 @@ let parse_job_line ~path ~lineno line =
         let g =
           match String.index_opt spec ':' with
           | Some i when String.sub spec 0 i = "file" ->
-              let fpath = String.sub spec (i + 1) (String.length spec - i - 1) in
-              if Graphio_store.Store.is_store_file fpath then
-                Graphio_store.Store.to_dag (Graphio_store.Store.load fpath)
-              else Edgelist.of_file fpath
+              let file = String.sub spec (i + 1) (String.length spec - i - 1) in
+              load_graph ~spec:None ~file:(Some file)
           | _ -> (
               match parse_spec spec with
               | Ok g -> g

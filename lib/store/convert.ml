@@ -1,331 +1,10 @@
-(* Two streaming passes over the text edgelist:
-
-     pass 1  parse + validate every record, count out-degrees into an
-             int32 array, buffer (sparse) labels;
-     pass 2  re-parse the edge records and scatter-fill the successor
-             indices through the prefix-summed pointer array.
-
-   Peak memory is 12·(n + m) bytes of int32 scratch plus one line buffer —
-   independent of the text file's size — versus Edgelist.of_file's
-   hundreds of bytes per edge.  Rows are then sorted in place, duplicates
-   detected on the sorted rows (with an error-path-only rescan to recover
-   line numbers), acyclicity checked by Kahn over the same scratch, and
-   the result streamed out in Store's record layout with running FNV-1a
-   checksums. *)
-
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a_bytes acc bytes off len =
-  let acc = ref acc in
-  for i = off to off + len - 1 do
-    acc :=
-      Int64.mul
-        (Int64.logxor !acc (Int64.of_int (Char.code (Bytes.get bytes i))))
-        fnv_prime
-  done;
-  !acc
-
-let int32_max = Int32.to_int Int32.max_int
-
-type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let i32_make len : i32 =
-  let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max len 1) in
-  Bigarray.Array1.fill a 0l;
-  a
-
-(* Fast manual parser for the hot record: ["e U V"].  Same acceptance as
-   Edgelist's [Scanf "e %d %d"] — arbitrary blanks between fields,
-   trailing content ignored.  Returns [None] for anything that does not
-   parse as two integers. *)
-let parse_edge line =
-  let len = String.length line in
-  let pos = ref 1 in
-  let skip_ws () =
-    while !pos < len && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let int_at () =
-    let neg =
-      if !pos < len && line.[!pos] = '-' then begin
-        incr pos;
-        true
-      end
-      else false
-    in
-    let v = ref 0 and digits = ref 0 in
-    while !pos < len && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      v := (!v * 10) + (Char.code line.[!pos] - Char.code '0');
-      incr digits;
-      incr pos
-    done;
-    if !digits = 0 then raise Exit;
-    if neg then - !v else !v
-  in
-  match
-    skip_ws ();
-    let u = int_at () in
-    if !pos >= len || (line.[!pos] <> ' ' && line.[!pos] <> '\t') then
-      raise Exit;
-    skip_ws ();
-    let v = int_at () in
-    (u, v)
-  with
-  | uv -> Some uv
-  | exception Exit -> None
-
-(* One streaming pass.  [on_sizes n m] fires once when the size line is
-   parsed (before any record); [on_edge lineno u v] per validated edge;
-   [on_label] is [None] on passes that do not collect labels.  Returns
-   the declared sizes and the number of edge records seen. *)
-let scan_file path ~on_sizes ~on_edge ~on_label =
-  let ic = try open_in_bin path with Sys_error msg -> failwith msg in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let fail lineno msg =
-        failwith (Printf.sprintf "%s: line %d: %s" path lineno msg)
-      in
-      let lineno = ref 0 in
-      let saw_header = ref false in
-      let sizes = ref None in
-      let edges_seen = ref 0 in
-      (try
-         while true do
-           let raw = input_line ic in
-           incr lineno;
-           let line = String.trim raw in
-           let lineno = !lineno in
-           if line = "" || line.[0] = '#' then ()
-           else if not !saw_header then begin
-             if line <> "graphio 1" then
-               fail lineno "expected header 'graphio 1'";
-             saw_header := true
-           end
-           else
-             match !sizes with
-             | None -> (
-                 try
-                   Scanf.sscanf line "n %d m %d" (fun a b ->
-                       if a < 0 || b < 0 then fail lineno "negative counts";
-                       sizes := Some (a, b);
-                       on_sizes a b)
-                 with Scanf.Scan_failure _ | End_of_file ->
-                   fail lineno "expected 'n <vertices> m <edges>'")
-             | Some (n, _) -> (
-                 match line.[0] with
-                 | 'e' -> (
-                     match parse_edge line with
-                     | None -> fail lineno "malformed edge"
-                     | Some (u, v) ->
-                         if u < 0 || u >= n || v < 0 || v >= n then
-                           fail lineno
-                             (Printf.sprintf
-                                "edge %d -> %d: vertex out of range [0, %d)" u
-                                v n);
-                         if u = v then
-                           fail lineno
-                             (Printf.sprintf "edge %d -> %d: self-loop" u v);
-                         incr edges_seen;
-                         on_edge lineno u v)
-                 | 'l' -> (
-                     match on_label with
-                     | None -> ()
-                     | Some on_label -> (
-                         try
-                           Scanf.sscanf line "l %d %s" (fun v l ->
-                               if v < 0 || v >= n then
-                                 fail lineno "label vertex out of range";
-                               on_label v
-                                 (Graphio_graph.Edgelist.percent_unescape l))
-                         with Scanf.Scan_failure _ | End_of_file ->
-                           fail lineno "malformed label"))
-                 | _ -> fail lineno "unknown record type")
-         done
-       with End_of_file -> ());
-      if not !saw_header then failwith (Printf.sprintf "%s: empty input" path);
-      match !sizes with
-      | None -> failwith (Printf.sprintf "%s: missing size line" path)
-      | Some (n, m) -> ((n, m), !edges_seen))
-
-(* Error path only: rescan the input to recover the line numbers of the
-   first two occurrences of a duplicate edge found on the sorted rows. *)
-let duplicate_error path u v =
-  let first = ref 0 and second = ref 0 in
-  let _ =
-    scan_file path
-      ~on_sizes:(fun _ _ -> ())
-      ~on_label:None
-      ~on_edge:(fun lineno eu ev ->
-        if eu = u && ev = v && !second = 0 then
-          if !first = 0 then first := lineno else second := lineno)
-  in
-  failwith
-    (Printf.sprintf "%s: line %d: duplicate edge %d -> %d (first on line %d)"
-       path !second u v !first)
+open Graphio_graph
 
 let convert ~input ~output =
-  (* ---- pass 1: sizes, degrees, labels ---- *)
-  let labels = Hashtbl.create 16 in
-  let deg = ref (i32_make 0) in
-  let (n, m), edges_seen =
-    scan_file input
-      ~on_sizes:(fun n m ->
-        if n + 1 > int32_max || m > int32_max then
-          raise (Store.Error (Store.Too_large { n; m }));
-        deg := i32_make (n + 1))
-      ~on_label:(Some (fun v l -> Hashtbl.replace labels v l))
-      ~on_edge:(fun _ u _ ->
-        let d = !deg in
-        d.{u} <- Int32.add d.{u} 1l)
+  let g =
+    Edgelist.csr_of_file ~prefix:(input ^ ": ")
+      ~too_large:(fun n m -> Store.Error (Store.Too_large { n; m }))
+      input
   in
-  if edges_seen <> m then
-    failwith
-      (Printf.sprintf "%s: edge count mismatch (declared %d, found %d)" input m
-         edges_seen);
-  let deg = !deg in
-  (* prefix-sum degrees into row pointers *)
-  let ptr = i32_make (n + 1) in
-  let acc = ref 0l in
-  for v = 0 to n do
-    ptr.{v} <- !acc;
-    if v < n then acc := Int32.add !acc deg.{v}
-  done;
-  (* ---- pass 2: scatter-fill (reusing [deg] as the fill cursor) ---- *)
-  let idx = i32_make m in
-  let fill = deg in
-  for v = 0 to n - 1 do
-    fill.{v} <- ptr.{v}
-  done;
-  let _ =
-    scan_file input
-      ~on_sizes:(fun _ _ -> ())
-      ~on_label:None
-      ~on_edge:(fun _ u v ->
-        let at = Int32.to_int fill.{u} in
-        idx.{at} <- Int32.of_int v;
-        fill.{u} <- Int32.add fill.{u} 1l)
-  in
-  (* ---- sort rows in place, detect duplicates ---- *)
-  for v = 0 to n - 1 do
-    let lo = Int32.to_int ptr.{v} and hi = Int32.to_int ptr.{v + 1} in
-    let len = hi - lo in
-    if len > 1 then begin
-      let sorted = ref true in
-      for k = lo + 1 to hi - 1 do
-        if idx.{k - 1} >= idx.{k} then sorted := false
-      done;
-      if not !sorted then begin
-        let row = Array.init len (fun k -> idx.{lo + k}) in
-        Array.sort Int32.compare row;
-        for k = 0 to len - 1 do
-          idx.{lo + k} <- row.(k)
-        done
-      end;
-      for k = lo + 1 to hi - 1 do
-        if idx.{k - 1} = idx.{k} then
-          duplicate_error input v (Int32.to_int idx.{k})
-      done
-    end
-  done;
-  (* ---- acyclicity (Kahn over int32 scratch) ---- *)
-  let indeg = i32_make (max n 1) and queue = i32_make (max n 1) in
-  for k = 0 to m - 1 do
-    let w = Int32.to_int idx.{k} in
-    indeg.{w} <- Int32.add indeg.{w} 1l
-  done;
-  let head = ref 0 and tail = ref 0 in
-  for v = 0 to n - 1 do
-    if indeg.{v} = 0l then begin
-      queue.{!tail} <- Int32.of_int v;
-      incr tail
-    end
-  done;
-  while !head < !tail do
-    let v = Int32.to_int queue.{!head} in
-    incr head;
-    for k = Int32.to_int ptr.{v} to Int32.to_int ptr.{v + 1} - 1 do
-      let w = Int32.to_int idx.{k} in
-      indeg.{w} <- Int32.sub indeg.{w} 1l;
-      if indeg.{w} = 0l then begin
-        queue.{!tail} <- Int32.of_int w;
-        incr tail
-      end
-    done
-  done;
-  if !tail <> n then failwith (Printf.sprintf "%s: graph has a cycle" input);
-  (* ---- stream out in Store's record layout ---- *)
-  let label_list =
-    Hashtbl.fold (fun v l acc -> (v, l) :: acc) labels []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" output (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc =
-    try open_out_bin tmp
-    with Sys_error msg -> raise (Store.Error (Store.Io_error msg))
-  in
-  let write_all () =
-    let hdr = Bytes.create 28 in
-    Bytes.blit_string Store.magic 0 hdr 0 6;
-    Bytes.set hdr 6 '\x00';
-    Bytes.set hdr 7 '\x01';
-    Bytes.set_int32_le hdr 8 (Int32.of_int n);
-    Bytes.set_int32_le hdr 12 (Int32.of_int m);
-    Bytes.set_int32_le hdr 16 (Int32.of_int (List.length label_list));
-    Bytes.set_int64_le hdr 20 (fnv1a_bytes fnv_offset hdr 0 20);
-    output_bytes oc hdr;
-    (* body writer: 64 KiB chunks, FNV-1a folded as bytes are flushed *)
-    let crc = ref fnv_offset in
-    let chunk = Bytes.create 65536 in
-    let filled = ref 0 in
-    let flush_chunk () =
-      if !filled > 0 then begin
-        crc := fnv1a_bytes !crc chunk 0 !filled;
-        output_bytes oc (Bytes.sub chunk 0 !filled);
-        filled := 0
-      end
-    in
-    let put_byte c =
-      if !filled = Bytes.length chunk then flush_chunk ();
-      Bytes.set chunk !filled c;
-      incr filled
-    in
-    let put_word (w : int32) =
-      if !filled + 4 > Bytes.length chunk then flush_chunk ();
-      Bytes.set_int32_le chunk !filled w;
-      filled := !filled + 4
-    in
-    for v = 0 to n do
-      put_word ptr.{v}
-    done;
-    for k = 0 to m - 1 do
-      put_word idx.{k}
-    done;
-    List.iter
-      (fun (v, l) ->
-        put_word (Int32.of_int v);
-        put_word (Int32.of_int (String.length l));
-        String.iter put_byte l)
-      label_list;
-    flush_chunk ();
-    let tail = Bytes.create 8 in
-    Bytes.set_int64_le tail 0 !crc;
-    output_bytes oc tail
-  in
-  (match write_all () with
-  | () -> close_out oc
-  | exception Sys_error msg ->
-      close_out_noerr oc;
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise (Store.Error (Store.Io_error msg)));
-  (match Sys.rename tmp output with
-  | () -> ()
-  | exception Sys_error msg ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise (Store.Error (Store.Io_error msg)));
-  (n, m)
+  Store.write_csr output g;
+  (g.Csr32.n, g.Csr32.m)

@@ -1,16 +1,17 @@
 (** Streaming text-edgelist → binary CSR converter.
 
-    [Edgelist.of_file] holds the whole file, an edge list and a
-    duplicate-detection hashtable in memory — fine at workstation sizes,
-    hopeless at the million-vertex target.  {!convert} produces the same
-    graph as a {!Store} file in bounded memory: two streaming passes over
-    the text (degree count, then scatter-fill), [O(n + m)] int32 scratch
-    ([12·(n + m)] bytes, independent of the text size), an in-place row
-    sort, duplicate/self-loop/range/acyclicity checks, and an atomic
-    temp+rename publish.
+    {!convert} is {!Graphio_graph.Edgelist.csr_of_file}, the same reader
+    behind [Edgelist.of_string] and [Edgelist.of_file], composed with
+    {!Store.write_csr}, the same writer behind [Store.write].  So it
+    accepts exactly the {!Graphio_graph.Edgelist} text format and rejects
+    what that rejects, with the same messages.  It never builds the
+    graph in memory: two streaming passes over the text (degree count,
+    then scatter-fill) into int32 scratch, an in-place row sort, the
+    range/self-loop/duplicate/acyclicity checks, and an atomic temp+rename
+    publish.  For unlabeled input the scratch is [16n + 4m] bytes (at most
+    [12·(n + m)] when [m ≥ n/2]), independent of the text's size; every
+    [l] line adds a hashtable entry and its string.
 
-    Accepts exactly the {!Graphio_graph.Edgelist} text format (header,
-    size line, [l]/[e] records, [#] comments, percent-escaped labels).
     Errors carry the input path and line number ([path: line N: ...]),
     matching the repo-wide diagnostic convention; duplicate edges are
     reported with both line numbers via an error-path-only rescan.
@@ -21,6 +22,7 @@
 
 val convert : input:string -> output:string -> int * int
 (** [convert ~input ~output] returns [(n, m)].  Raises [Failure] with a
-    [path: line N:]-prefixed message on malformed input, and
-    {!Store.Error} ([Too_large]) when the graph exceeds the int32 index
-    guard. *)
+    [path: ]-prefixed message on malformed input, [Sys_error] when the
+    input cannot be read, and {!Store.Error} ([Too_large] when the graph
+    exceeds the int32 index guard, before any allocation proportional to
+    it; [Io_error] when the output cannot be published). *)

@@ -77,9 +77,6 @@ type t = {
   labels : (int * string) array;  (** ascending vertex order *)
 }
 
-let body_words t = 7 + (t.n + 1) + t.m
-let _ = body_words
-
 let ptr t i = Int32.to_int t.words.{7 + i}
 let idx t k = Int32.to_int t.words.{7 + t.n + 1 + k}
 
@@ -157,114 +154,122 @@ let is_store_file file =
 
 (* ------------------------------- write ------------------------------- *)
 
-let int32_max = Int32.to_int Int32.max_int
-
-let write file g =
-  let n = Dag.n_vertices g and m = Dag.n_edges g in
-  if n + 1 > int32_max || m > int32_max then fail (Too_large { n; m });
-  let labels = ref [] and label_count = ref 0 in
-  for v = n - 1 downto 0 do
-    match Dag.label g v with
-    | Some l ->
-        labels := (v, l) :: !labels;
-        incr label_count
-    | None -> ()
-  done;
-  let label_bytes =
-    List.fold_left (fun acc (_, l) -> acc + 8 + String.length l) 0 !labels
+(* The one writer of the record: the header, the body in 64 KiB chunks
+   folded into the running FNV-1a as they are flushed, the trailer, then
+   an atomic temp+rename publish.  The write fault is drawn once, over the
+   whole record: [Fail] models an error before any byte lands;
+   [Torn]/[Flip] damage the bytes after they are checksummed and are
+   deliberately published (the rename below still runs), because the
+   on-disk checksums, not the writer, are what guarantee a corrupt record
+   is never served. *)
+let write_csr file (g : Csr32.t) =
+  let { Csr32.n; m; ptr; idx; labels } = g in
+  if not (Csr32.fits ~n ~m) then fail (Too_large { n; m });
+  let total =
+    Array.fold_left
+      (fun acc (_, l) -> acc + 8 + String.length l)
+      (header_len + (4 * (n + 1)) + (4 * m) + crc_len)
+      labels
   in
-  let total = header_len + (4 * (n + 1)) + (4 * m) + label_bytes + crc_len in
-  let b = Bytes.create total in
-  Bytes.blit_string magic 0 b 0 6;
-  Bytes.set b 6 '\x00';
-  Bytes.set b 7 (Char.chr version);
-  Bytes.set_int32_le b 8 (Int32.of_int n);
-  Bytes.set_int32_le b 12 (Int32.of_int m);
-  Bytes.set_int32_le b 16 (Int32.of_int !label_count);
-  Bytes.set_int64_le b 20 (fnv1a_bytes fnv_offset b 0 20);
-  (* succ_ptr from cumulative out-degrees, succ_idx in iteration order
-     (CSR order — already sorted per row) *)
-  let off = ref header_len in
-  let put_word w =
-    Bytes.set_int32_le b !off (Int32.of_int w);
-    off := !off + 4
-  in
-  let acc = ref 0 in
-  put_word 0;
-  for v = 0 to n - 1 do
-    acc := !acc + Dag.out_degree g v;
-    put_word !acc
-  done;
-  Dag.iter_edges g (fun _ v -> put_word v);
-  List.iter
-    (fun (v, l) ->
-      put_word v;
-      put_word (String.length l);
-      Bytes.blit_string l 0 b !off (String.length l);
-      off := !off + String.length l)
-    !labels;
-  assert (!off = total - crc_len);
-  Bytes.set_int64_le b (total - crc_len)
-    (fnv1a_bytes fnv_offset b header_len (total - crc_len - header_len));
-  (* injectable write: [Fail] models an error before any byte lands;
-     [Torn]/[Flip] deliberately publish the damaged record (the rename
-     below still runs) because the on-disk checksums, not the writer, are
-     what guarantee a corrupt record is never served *)
-  let payload =
-    match Graphio_fault.hit ~len:total f_write with
-    | Graphio_fault.Pass -> b
-    | Graphio_fault.Fail ->
-        Graphio_obs.Metrics.incr c_errors;
-        fail (Io_error "injected write failure")
-    | Graphio_fault.Torn keep -> Bytes.sub b 0 keep
-    | Graphio_fault.Flip (off, mask) ->
-        let b = Bytes.copy b in
-        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor mask));
-        b
-    | Graphio_fault.Sleep s ->
-        Unix.sleepf s;
-        b
-  in
+  let fault = Graphio_fault.hit ~len:total f_write in
+  (match fault with
+  | Graphio_fault.Fail ->
+      Graphio_obs.Metrics.incr c_errors;
+      fail (Io_error "injected write failure")
+  | Graphio_fault.Sleep s -> Unix.sleepf s
+  | Graphio_fault.Pass | Graphio_fault.Torn _ | Graphio_fault.Flip _ -> ());
+  let keep = match fault with Graphio_fault.Torn keep -> keep | _ -> total in
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ())
       (Domain.self () :> int)
   in
-  (match open_out_bin tmp with
+  let oc =
+    match open_out_bin tmp with
+    | oc -> oc
+    | exception Sys_error msg ->
+        Graphio_obs.Metrics.incr c_errors;
+        fail (Io_error msg)
+  in
+  (* [emit b len] writes record bytes [!pos, !pos + len) *)
+  let pos = ref 0 in
+  let emit b len =
+    (match fault with
+    | Graphio_fault.Flip (off, mask) when off >= !pos && off < !pos + len ->
+        let i = off - !pos in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask))
+    | _ -> ());
+    output oc b 0 (max 0 (min len (keep - !pos)));
+    pos := !pos + len
+  in
+  let write_all () =
+    let hdr = Bytes.create header_len in
+    Bytes.blit_string magic 0 hdr 0 6;
+    Bytes.set hdr 6 '\x00';
+    Bytes.set hdr 7 (Char.chr version);
+    Bytes.set_int32_le hdr 8 (Int32.of_int n);
+    Bytes.set_int32_le hdr 12 (Int32.of_int m);
+    Bytes.set_int32_le hdr 16 (Int32.of_int (Array.length labels));
+    Bytes.set_int64_le hdr 20 (fnv1a_bytes fnv_offset hdr 0 20);
+    emit hdr header_len;
+    let crc = ref fnv_offset and chunk = Bytes.create 65536 and filled = ref 0 in
+    let flush () =
+      crc := fnv1a_bytes !crc chunk 0 !filled;
+      emit chunk !filled;
+      filled := 0
+    in
+    let put_byte c =
+      if !filled = Bytes.length chunk then flush ();
+      Bytes.set chunk !filled c;
+      incr filled
+    in
+    let put_word w =
+      if !filled + 4 > Bytes.length chunk then flush ();
+      Bytes.set_int32_le chunk !filled w;
+      filled := !filled + 4
+    in
+    for v = 0 to n do
+      put_word ptr.{v}
+    done;
+    for k = 0 to m - 1 do
+      put_word idx.{k}
+    done;
+    Array.iter
+      (fun (v, l) ->
+        put_word (Int32.of_int v);
+        put_word (Int32.of_int (String.length l));
+        String.iter put_byte l)
+      labels;
+    flush ();
+    let tail = Bytes.create crc_len in
+    Bytes.set_int64_le tail 0 !crc;
+    emit tail crc_len;
+    close_out oc
+  in
+  (* a failed write or publish must clean up the temp file rather than
+     leak it next to the target *)
+  let abandon msg =
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Graphio_obs.Metrics.incr c_errors;
+    fail (Io_error msg)
+  in
+  (match write_all () with
+  | () -> ()
   | exception Sys_error msg ->
-      Graphio_obs.Metrics.incr c_errors;
-      fail (Io_error msg)
-  | oc -> (
-      let result =
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            match output_bytes oc payload with
-            | () -> Ok ()
-            | exception Sys_error msg -> Stdlib.Error msg)
-      in
-      match result with
-      | Stdlib.Error msg ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          Graphio_obs.Metrics.incr c_errors;
-          fail (Io_error msg)
-      | Ok () -> (
-          (* injectable rename: a failed publish must clean up the temp
-             file rather than leak it next to the target *)
-          match
-            (match Graphio_fault.hit f_rename with
-            | Graphio_fault.Pass -> ()
-            | Graphio_fault.Sleep s -> Unix.sleepf s
-            | Graphio_fault.Fail | Graphio_fault.Torn _ | Graphio_fault.Flip _
-              ->
-                raise (Sys_error "injected rename failure"));
-            Sys.rename tmp file
-          with
-          | () -> ()
-          | exception Sys_error msg ->
-              (try Sys.remove tmp with Sys_error _ -> ());
-              Graphio_obs.Metrics.incr c_errors;
-              fail (Io_error msg))));
+      close_out_noerr oc;
+      abandon msg);
+  (match
+     (match Graphio_fault.hit f_rename with
+     | Graphio_fault.Pass -> ()
+     | Graphio_fault.Sleep s -> Unix.sleepf s
+     | Graphio_fault.Fail | Graphio_fault.Torn _ | Graphio_fault.Flip _ ->
+         raise (Sys_error "injected rename failure"));
+     Sys.rename tmp file
+   with
+  | () -> ()
+  | exception Sys_error msg -> abandon msg);
   Graphio_obs.Metrics.incr c_writes
+
+let write file g = write_csr file (Csr32.of_dag g)
 
 (* -------------------------------- load ------------------------------- *)
 
@@ -369,50 +374,22 @@ let map_words file ~total_words =
               done;
               w))
 
+(* The index region as a CSR, viewed in place. *)
+let csr t =
+  {
+    Csr32.n = t.n;
+    m = t.m;
+    ptr = Bigarray.Array1.sub t.words 7 (t.n + 1);
+    idx = Bigarray.Array1.sub t.words (8 + t.n) t.m;
+    labels = t.labels;
+  }
+
 (* Structural validation: the checksums prove the bytes are the writer's,
-   this proves the writer's claims are a graph.  All O(n + m), int32
-   scratch only. *)
+   this proves the writer's claims are a graph. *)
 let validate t =
-  if ptr t 0 <> 0 then fail (Malformed "succ_ptr does not start at 0");
-  for v = 0 to t.n - 1 do
-    let lo = ptr t v and hi = ptr t (v + 1) in
-    if lo > hi then fail (Malformed "succ_ptr not monotone");
-    for k = lo to hi - 1 do
-      let w = idx t k in
-      if w < 0 || w >= t.n then
-        fail (Malformed (Printf.sprintf "edge target %d out of range" w));
-      if w = v then fail (Malformed (Printf.sprintf "self-loop at vertex %d" v));
-      if k > lo && idx t (k - 1) >= w then
-        fail (Malformed (Printf.sprintf "row %d not strictly ascending" v))
-    done
-  done;
-  if ptr t t.n <> t.m then fail (Malformed "succ_ptr does not end at m");
-  (* Kahn acyclicity over int32 scratch (no per-vertex boxing) *)
-  let ba = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout in
-  let indeg = ba (max t.n 1) and queue = ba (max t.n 1) in
-  Bigarray.Array1.fill indeg 0l;
-  for k = 0 to t.m - 1 do
-    let w = idx t k in
-    indeg.{w} <- Int32.add indeg.{w} 1l
-  done;
-  let head = ref 0 and tail = ref 0 in
-  for v = 0 to t.n - 1 do
-    if indeg.{v} = 0l then begin
-      queue.{!tail} <- Int32.of_int v;
-      incr tail
-    end
-  done;
-  while !head < !tail do
-    let v = Int32.to_int queue.{!head} in
-    incr head;
-    iter_succ t v (fun w ->
-        indeg.{w} <- Int32.sub indeg.{w} 1l;
-        if indeg.{w} = 0l then begin
-          queue.{!tail} <- Int32.of_int w;
-          incr tail
-        end)
-  done;
-  if !tail <> t.n then fail (Malformed "graph has a cycle")
+  match Csr32.check (csr t) with
+  | None -> ()
+  | Some d -> fail (Malformed (Csr32.describe d))
 
 let parse_labels ic ~n ~label_count ~lab_off ~lab_len =
   seek_in ic lab_off;
@@ -499,18 +476,7 @@ let load file =
 
 (* ------------------------------ to_dag ------------------------------- *)
 
-let to_dag t =
-  let succ_ptr = Array.init (t.n + 1) (fun i -> ptr t i) in
-  let succ_idx = Array.init t.m (fun k -> idx t k) in
-  let labels =
-    if Array.length t.labels = 0 then None
-    else begin
-      let ls = Array.make t.n None in
-      Array.iter (fun (v, l) -> ls.(v) <- Some l) t.labels;
-      Some ls
-    end
-  in
-  Dag.of_sorted_csr ?labels ~verify_acyclic:false ~succ_ptr ~succ_idx ()
+let to_dag t = Csr32.to_dag (csr t)
 
 (* ---------------------------- components ----------------------------- *)
 

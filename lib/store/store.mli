@@ -75,10 +75,15 @@ type t
 (** A loaded, fully verified store.  The index region stays backed by the
     mapped file; accessors read it in place. *)
 
+val write_csr : string -> Graphio_graph.Csr32.t -> unit
+(** The one writer of the record: streams it out in 64 KiB chunks with
+    running checksums and publishes it atomically (temp file + rename).
+    Rows must be strictly ascending and labels in ascending vertex order;
+    the graph is written as given, not checked.  Raises {!Error}
+    ([Too_large] on int32 overflow, [Io_error] on write failure). *)
+
 val write : string -> Graphio_graph.Dag.t -> unit
-(** Serialize a frozen in-memory graph (atomic temp+rename publish).
-    Raises {!Error} ([Too_large] on int32 overflow, [Io_error] on write
-    failure). *)
+(** {!write_csr} of a frozen in-memory graph. *)
 
 val load : string -> t
 (** Verify end to end and map.  Raises {!Error} on any defect. *)

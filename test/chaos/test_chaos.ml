@@ -755,13 +755,16 @@ let test_server_read_flip_survival () =
    ====================================================================== *)
 
 module Store = Graphio_store.Store
+module Convert = Graphio_store.Convert
 
 (* Oracle: under any store.* schedule, write-then-load either raises a
    structured [Store.Error] or yields exactly the graph that was written
    (fingerprint-equal) — never a silently different graph.  Torn and
    flipped writes are deliberately published (the checksums, not the
    writer, are the trust boundary), so those schedules must surface as
-   load-time errors. *)
+   load-time errors.  The record is written both ways: [Store.write] of
+   the graph and [Convert.convert] of its text ([g.el], written before the
+   plan is installed). *)
 let store_graph =
   lazy
     (Graphio_graph.Dag.replicate
@@ -786,10 +789,25 @@ let store_plans () =
       (s + 8) (s + 9);
   ]
 
-let store_round plan dir round =
+let write_store_text dir =
+  Graphio_graph.Edgelist.to_file (Filename.concat dir "g.el")
+    (Lazy.force store_graph)
+
+let store_round ?(via = `Write) plan dir round =
   let g = Lazy.force store_graph in
-  let path = Filename.concat dir (Printf.sprintf "g%d.gcsr" round) in
-  match Store.write path g with
+  let publish, path =
+    match via with
+    | `Write ->
+        let path = Filename.concat dir (Printf.sprintf "g%d.gcsr" round) in
+        ((fun () -> Store.write path g), path)
+    | `Convert ->
+        let path = Filename.concat dir (Printf.sprintf "c%d.gcsr" round) in
+        ( (fun () ->
+            ignore
+              (Convert.convert ~input:(Filename.concat dir "g.el") ~output:path)),
+          path )
+  in
+  match publish () with
   | exception Store.Error _ ->
       (* a failed publish must not leave a half-written target *)
       if Sys.file_exists path then
@@ -811,9 +829,11 @@ let test_store_chaos_matrix () =
         ~finally:(fun () -> rm_rf dir)
         (fun () ->
           guard plan (fun () ->
+              write_store_text dir;
               F.with_plan plan (fun () ->
                   for round = 1 to 4 do
-                    store_round plan dir round
+                    store_round plan dir round;
+                    store_round ~via:`Convert plan dir round
                   done);
               (* plan removed: fault-free write/load round-trips, and no
                  temp file from any failed publish is left behind *)
@@ -831,7 +851,7 @@ let test_store_chaos_matrix () =
 
 let test_store_sites_fire () =
   List.iter
-    (fun (site, on_read_path) ->
+    (fun (site, on_read_path, via) ->
       let plan = site ^ ":nth=1" in
       let dir = fresh_dir "graphio_chaos_store_fire" in
       Fun.protect
@@ -841,9 +861,10 @@ let test_store_sites_fire () =
               let g = Lazy.force store_graph in
               let path = Filename.concat dir "g.gcsr" in
               if on_read_path then Store.write path g;
+              write_store_text dir;
               let before = counter_of ("fault.injected." ^ site) in
               F.with_plan plan (fun () ->
-                  store_round plan dir 1;
+                  store_round ~via plan dir 1;
                   if on_read_path then (
                     match Store.load path with
                     | exception Store.Error _ -> ()
@@ -858,10 +879,12 @@ let test_store_sites_fire () =
               if counter_of ("fault.injected." ^ site) <= before then
                 fail_plan plan "fault.injected.%s did not increment" site)))
     [
-      ("store.file.write", false);
-      ("store.file.rename", false);
-      ("store.file.read", true);
-      ("store.checksum", true);
+      ("store.file.write", false, `Write);
+      ("store.file.rename", false, `Write);
+      ("store.file.read", true, `Write);
+      ("store.checksum", true, `Write);
+      ("store.file.write", false, `Convert);
+      ("store.file.rename", false, `Convert);
     ]
 
 (* ======================================================================= *)

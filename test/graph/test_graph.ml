@@ -379,13 +379,13 @@ let test_edgelist_error_messages () =
       ( "graphio 1\n# a comment\nn 3 m 3\ne 0 1\ne 1 2\ne 0 1\n",
         "Edgelist: line 6: duplicate edge 0 -> 1 (first on line 4)" );
       ( "graphio 1\nn 2 m 1\ne 1 1\n",
-        "Edgelist: line 3: Dag.add_edge: self-loop" );
+        "Edgelist: line 3: edge 1 -> 1: self-loop" );
       ( "graphio 1\nn 3 m 1\nl 7 far\ne 0 1\n",
         "Edgelist: line 3: label vertex out of range" );
       ( "graphio 1\nn 2 m 2\ne 0 1\n",
         "Edgelist: edge count mismatch (declared 2, found 1)" );
       ( "graphio 1\nn 2 m 2\ne 0 1\ne 1 0\n",
-        "Edgelist: Dag.build: graph has a cycle" );
+        "Edgelist: graph has a cycle" );
     ]
 
 let test_edgelist_of_file_prefixes_path () =

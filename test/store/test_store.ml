@@ -169,6 +169,7 @@ let test_malformed_structure () =
       ("non-monotone pointers", 1, 6, "monotone");
       ("self-loop breaks acyclicity", 8, 0, "cycle");
       ("unsorted row", 9, 1, "sorted");
+      ("pointer past m", 7, 9, "monotone");
     ]
   in
   List.iter
@@ -274,43 +275,104 @@ let test_convert_matches_write () =
       Alcotest.(check bool) "byte-identical output" true
         (read_file from_convert = read_file from_write))
 
+(* One grammar table, two surfaces: every row goes through both
+   [Edgelist.of_string] and [Convert.convert], which must agree — on the
+   graph (fingerprint and labels) when the row is accepted, on the message
+   after each surface's prefix when it is rejected. *)
 let test_convert_line_errors () =
+  let after prefix msg =
+    let k = String.length prefix in
+    if String.length msg >= k && String.sub msg 0 k = prefix then
+      Error (String.sub msg k (String.length msg - k))
+    else Alcotest.failf "message %S lacks the prefix %S" msg prefix
+  in
+  let graph_of_string body =
+    match Edgelist.of_string body with
+    | g -> Ok g
+    | exception Failure msg -> after "Edgelist: " msg
+  in
+  let graph_of_convert dir body =
+    let input = Filename.concat dir "in.el" in
+    let output = Filename.concat dir "out.gcsr" in
+    Out_channel.with_open_bin input (fun oc -> Out_channel.output_string oc body);
+    match Convert.convert ~input ~output with
+    | _ -> Ok (Store.to_dag (Store.load output))
+    | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "no output after %S" msg)
+          false (Sys.file_exists output);
+        after (input ^ ": ") msg
+  in
   List.iter
-    (fun (name, body, fragment) ->
+    (fun (name, body, expected) ->
       in_tmp_dir (fun dir ->
-          let input = Filename.concat dir "bad.el" in
-          Out_channel.with_open_text input (fun oc ->
-              Out_channel.output_string oc body);
-          match
-            Convert.convert ~input ~output:(Filename.concat dir "bad.gcsr")
-          with
-          | _ -> Alcotest.failf "%s: converted successfully" name
-          | exception Failure msg ->
-              let contains hay needle =
-                let nh = String.length hay and nn = String.length needle in
-                let rec go i =
-                  i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-                in
-                nn = 0 || go 0
+          match (graph_of_string body, graph_of_convert dir body, expected) with
+          | Ok a, Ok b, None ->
+              Alcotest.(check int64)
+                (name ^ ": fingerprint") (Dag.fingerprint a) (Dag.fingerprint b);
+              for v = 0 to Dag.n_vertices a - 1 do
+                Alcotest.(check (option string))
+                  (Printf.sprintf "%s: label %d" name v)
+                  (Dag.label a v) (Dag.label b v)
+              done
+          | Error a, Error b, Some msg ->
+              Alcotest.(check string) (name ^ ": of_string") msg a;
+              Alcotest.(check string) (name ^ ": convert") msg b
+          | a, b, _ ->
+              let show = function
+                | Ok _ -> "accepted"
+                | Error msg -> Printf.sprintf "rejected (%s)" msg
               in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: %S mentions %S" name msg fragment)
-                true
-                (contains msg fragment)))
+              Alcotest.failf "%s: of_string %s, convert %s, expected %s" name
+                (show a) (show b)
+                (match expected with None -> "accepted" | Some m -> m)))
     [
-      ("bad header", "graphio 2\n", "expected header");
-      ("missing sizes", "graphio 1\n", "missing size line");
-      ("bad edge", "graphio 1\nn 2 m 1\ne 0\n", "line 3: malformed edge");
+      ("bad header", "graphio 2\n", Some "line 1: expected header 'graphio 1'");
+      ("empty", "", Some "empty input");
+      ("missing sizes", "graphio 1\n", Some "missing size line");
+      ("negative sizes", "graphio 1\nn -1 m 0\n", Some "line 2: negative counts");
+      ("bad edge", "graphio 1\nn 2 m 1\ne 0\n", Some "line 3: malformed edge");
+      ("bare e", "graphio 1\nn 2 m 1\ne\n", Some "line 3: malformed edge");
+      ("plus sign", "graphio 1\nn 2 m 1\ne +0 1\n", Some "line 3: malformed edge");
+      ("underscore", "graphio 1\nn 2 m 1\ne 0_0 1\n", Some "line 3: malformed edge");
+      ( "overflowing id",
+        "graphio 1\nn 2 m 1\ne 9223372036854775808 1\n",
+        Some "line 3: malformed edge" );
+      ("tab separated", "graphio 1\nn 2 m 1\ne\t0\t1\n", None);
+      ( "zero-padded id",
+        "graphio 1\nn 2 m 1\ne 1 0000000000000000000000000\n",
+        None );
+      ("trailing text", "graphio 1\nn 3 m 2\ne 0 1 # a\ne  1   2x\n", None);
+      ( "labels",
+        "graphio 1\n# c\nn 3 m 1\nl 0 a%20b\nl\t2\t\nl 0 c\ne 2 1\n",
+        None );
+      ( "bad escape",
+        "graphio 1\nn 2 m 0\nl 0 a%zz\n",
+        Some "line 3: malformed label" );
+      ( "label range",
+        "graphio 1\nn 2 m 0\nl 7 far\n",
+        Some "line 3: label vertex out of range" );
+      ( "unknown record",
+        "graphio 1\nn 2 m 0\nx 0 1\n",
+        Some "line 3: unknown record type" );
       ( "range",
         "graphio 1\nn 2 m 1\ne 0 5\n",
-        "line 3: edge 0 -> 5: vertex out of range [0, 2)" );
+        Some "line 3: edge 0 -> 5: vertex out of range [0, 2)" );
+      ( "negative id",
+        "graphio 1\nn 2 m 1\ne -1 1\n",
+        Some "line 3: edge -1 -> 1: vertex out of range [0, 2)" );
+      ( "self-loop",
+        "graphio 1\nn 2 m 1\ne 1 1\n",
+        Some "line 3: edge 1 -> 1: self-loop" );
       ( "duplicate",
         "graphio 1\nn 2 m 2\ne 0 1\ne 0 1\n",
-        "line 4: duplicate edge 0 -> 1 (first on line 3)" );
-      ("cycle", "graphio 1\nn 2 m 2\ne 0 1\ne 1 0\n", "cycle");
+        Some "line 4: duplicate edge 0 -> 1 (first on line 3)" );
+      ( "cycle",
+        "graphio 1\nn 3 m 3\ne 0 1\ne 1 2\ne 2 0\n",
+        Some "graph has a cycle" );
       ( "count mismatch",
         "graphio 1\nn 2 m 3\ne 0 1\n",
-        "edge count mismatch (declared 3, found 1)" );
+        Some "edge count mismatch (declared 3, found 1)" );
     ]
 
 let () =
