@@ -353,19 +353,22 @@ let bound spec file m h p method_str portfolio_str no_closed_form faults obs =
   let portfolio = parse_portfolio portfolio_str in
   let closed_form = not no_closed_form in
   (* Binary stores are bounded without materializing the union: components
-     are extracted one by one and fed to the decomposed solver path.
-     Where both paths fit in memory the output is byte-identical to the
-     text-edgelist path. *)
+     are extracted one by one and fed to the decomposed solver path, and
+     the graph line is read off the parts.  Where both paths fit in
+     memory the output is byte-identical to the text-edgelist path. *)
   let (gn, gm, gdmax), o =
     match (spec, file) with
     | None, Some path when Graphio_store.Store.is_store_file path ->
-        let st = Graphio_store.Store.load path in
         let parts =
-          Array.map fst (Graphio_store.Store.component_dags st)
+          Array.map fst
+            (Graphio_store.Store.component_dags (Graphio_store.Store.load path))
         in
-        ( ( Graphio_store.Store.n_vertices st,
-            Graphio_store.Store.n_edges st,
-            Graphio_store.Store.max_out_degree st ),
+        let over f combine =
+          Array.fold_left (fun acc g -> combine acc (f g)) 0 parts
+        in
+        ( ( over Dag.n_vertices ( + ),
+            over Dag.n_edges ( + ),
+            over Dag.max_out_degree max ),
           Solver.bound_parts ~method_ ?portfolio ~h ~p ~closed_form parts
             ~m )
     | _ ->

@@ -48,30 +48,23 @@ let f_checksum = Graphio_fault.site "cache.checksum"
 
 (* --------------------------- key utilities --------------------------- *)
 
-(* FNV-1a over bytes, the same hash family Dag.fingerprint uses; good
-   enough to key cache records, not cryptographic. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a_byte acc b =
-  Int64.mul (Int64.logxor acc (Int64.of_int (b land 0xff))) fnv_prime
-
+(* FNV-1a (Graphio_obs.Fnv1a, the hash Dag.fingerprint uses): over a
+   record's bytes for its checksum, and over each parameter's eight
+   little-endian bytes for the parameter digest. *)
 let fnv1a_bytes bytes len =
-  let acc = ref fnv_offset in
-  for i = 0 to len - 1 do
-    acc := fnv1a_byte !acc (Char.code (Bytes.get bytes i))
-  done;
-  !acc
+  Graphio_obs.Fnv1a.bytes Graphio_obs.Fnv1a.offset bytes 0 len
 
 let fnv1a_int64 acc v =
   let acc = ref acc in
   for shift = 0 to 7 do
-    acc := fnv1a_byte !acc (Int64.to_int (Int64.shift_right_logical v (shift * 8)))
+    acc :=
+      Graphio_obs.Fnv1a.step !acc
+        (Int64.logand (Int64.shift_right_logical v (shift * 8)) 0xffL)
   done;
   !acc
 
 let params_digest ~dense_threshold ~tol ~seed ~filter_degree =
-  let acc = fnv_offset in
+  let acc = Graphio_obs.Fnv1a.offset in
   let acc =
     fnv1a_int64 acc
       (match dense_threshold with

@@ -497,30 +497,19 @@ type eval_item = {
   it_method : method_;
 }
 
-let parts_of_dag ~decompose g =
-  if decompose && Dag.n_vertices g > 0 then begin
-    let split = Component.split g in
-    (* connected graphs keep the original value (identical physical
-       arrays, so the undecomposed pipeline is bit-for-bit unchanged) *)
-    if Array.length split > 1 then Array.map fst split else [| g |]
-  end
-  else [| g |]
-
-let reflatten_parts parts =
-  (* a caller-supplied part may itself be disconnected (an external
-     decomposer owes us no guarantee), so re-split each one — cheap next
-     to any eigensolve, and it unlocks per-component closed-form
-     recognition and cache sharing *)
-  Array.concat
-    (Array.to_list
-       (Array.map
-          (fun g ->
-            if Dag.n_vertices g = 0 then [||]
-            else
-              let split = Component.split g in
-              if Array.length split > 1 then Array.map fst split
-              else [| g |])
-          parts))
+(* The parts a request solves: every weakly-connected component of each
+   graph, in order.  A connected graph is its own one part (the same
+   physical value, so the undecomposed pipeline is bit-for-bit
+   unchanged) and an empty graph has none.  [bound_parts] splits its
+   parts again, since a caller-supplied part may itself be disconnected
+   (an external decomposer owes us no guarantee); that is a union-find
+   pass per connected part, cheap next to any eigensolve, and it unlocks
+   per-component closed-form recognition and cache sharing. *)
+let split_parts graphs =
+  Graphio_obs.Span.with_ "solver.split" (fun () ->
+      Array.concat
+        (Array.to_list
+           (Array.map (fun g -> Array.map fst (Component.split g)) graphs)))
 
 let c_decompositions = Graphio_obs.Metrics.counter "core.solver.decompositions"
 
@@ -770,7 +759,10 @@ let request ~portfolio ~method_ ~m ~p parts =
   }
 
 let request_of_dag ~decompose ~portfolio ~method_ ~m ~p g =
-  request ~portfolio ~method_ ~m ~p (parts_of_dag ~decompose g)
+  let parts = if decompose then split_parts [| g |] else [||] in
+  (* undecomposed, or empty: the graph is the one part *)
+  request ~portfolio ~method_ ~m ~p
+    (if Array.length parts = 0 then [| g |] else parts)
 
 let h_visit_seconds = Graphio_obs.Metrics.histogram "core.solver.visit_seconds"
 
@@ -968,7 +960,7 @@ let bound ?(method_ = Normalized) ?portfolio ?(h = 100) ?p ?dense_threshold
 let bound_parts ?(method_ = Normalized) ?portfolio ?(h = 100) ?p
     ?(closed_form = true) parts ~m =
   bound_one { defaults with h; closed_form } (fun () ->
-      request ~portfolio ~method_ ~m ~p (reflatten_parts parts))
+      request ~portfolio ~method_ ~m ~p (split_parts parts))
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)

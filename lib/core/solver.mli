@@ -141,9 +141,10 @@ val bound :
     [--no-closed-form]) to force the numeric pipeline.
 
     The whole pipeline runs inside nested {!Graphio_obs.Span} spans
-    ([solver.bound] over [solver.recognize], [solver.laplacian],
-    [solver.eigensolve], [solver.maximize] and, for [Visit],
-    [solver.visit_profile]) and is timed into the
+    ([solver.bound] over [solver.split] (when decomposing),
+    [solver.recognize], [solver.laplacian], [solver.eigensolve],
+    [solver.maximize] and, for [Visit], [solver.visit_profile]) and is
+    timed into the
     [core.solver.bound_seconds] histogram.  [pool] parallelizes the
     sparse eigensolve's matvecs across domains; the result is
     bitwise-identical with or without it (see
@@ -177,11 +178,12 @@ val bound_parts :
 (** [bound_parts parts ~m] — the bound of the disjoint union of [parts]
     without ever materializing the union: the out-of-core entry point,
     fed by {!Graphio_store}'s per-component extraction so a multi-million
-    vertex on-disk graph is solved one component at a time.  Each part is
-    re-split into weakly-connected components first (a caller-supplied
-    part may itself be disconnected), then evaluated exactly as the
-    decomposed path of {!bound}: numerically equal to
-    [bound (disjoint union) ~m] to eigensolver tolerance, with
+    vertex on-disk graph is solved one component at a time.  Each part
+    goes through the same {!Graphio_graph.Component.split} as {!bound}'s
+    input (a caller-supplied part may itself be disconnected; a
+    connected part comes back as itself, uncopied), then the parts are
+    evaluated exactly as the decomposed path of {!bound}: numerically
+    equal to [bound (disjoint union) ~m] to eigensolver tolerance, with
     [outcome.components] in part order.  Empty parts contribute nothing.
 
     Like {!bound}, it never consults a spectrum cache: every distinct

@@ -41,15 +41,6 @@ let draw_int state bound =
   else Int64.to_int (Int64.rem (Int64.shift_right_logical (splitmix64 state) 1)
                        (Int64.of_int bound))
 
-let fnv1a_string s =
-  let acc = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      acc := Int64.mul (Int64.logxor !acc (Int64.of_int (Char.code ch)))
-               0x100000001b3L)
-    s;
-  !acc
-
 (* ------------------------------ plans ------------------------------- *)
 
 type kind = KError | KPartial | KFlip | KDelay
@@ -187,7 +178,9 @@ let instantiate site_name t =
     t;
     hits = 0;
     fires = 0;
-    rng = ref (Int64.logxor (Int64.of_int t.seed) (fnv1a_string site_name));
+    rng =
+      ref
+        (Int64.logxor (Int64.of_int t.seed) (Graphio_obs.Fnv1a.string site_name));
   }
 
 (* ------------------------------ state ------------------------------- *)

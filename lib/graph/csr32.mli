@@ -40,4 +40,5 @@ val of_dag : Dag.t -> t
 
 val to_dag : t -> Dag.t
 (** The in-memory graph, assuming [check t = None] (acyclicity is not
-    re-verified). *)
+    re-verified).  The [int array]s it widens the CSR into become the
+    graph's own, uncopied. *)

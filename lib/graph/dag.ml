@@ -152,10 +152,8 @@ let fold_edges g ~init ~f =
    equal graphs — however they were constructed — hash identically.  Used
    as the spectrum-cache key in Solver.bound_batch. *)
 let fingerprint g =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v =
-    h := Int64.mul (Int64.logxor !h v) 0x100000001b3L
-  in
+  let h = ref Graphio_obs.Fnv1a.offset in
+  let mix v = h := Graphio_obs.Fnv1a.step !h v in
   mix (Int64.of_int g.n);
   mix (Int64.of_int g.m);
   iter_edges g (fun u v ->
@@ -259,8 +257,9 @@ let induced_subgraph g vs =
 (* Raw constructor from an already-canonical CSR: every adjacency bucket
    strictly ascending.  Validates everything Builder validates (range,
    self-loops, duplicates — strictness subsumes them — and optionally
-   acyclicity) in O(n + m) without the Builder's edge hashtable, so
-   Graphio_store can freeze million-vertex graphs cheaply. *)
+   acyclicity) in O(n + m) without the Builder's edge hashtable, and
+   keeps the caller's fresh arrays rather than copying them, so
+   million-vertex graphs and their components freeze cheaply. *)
 let of_sorted_csr ?labels ?(verify_acyclic = true) ~succ_ptr ~succ_idx () =
   let n = Array.length succ_ptr - 1 in
   if n < 0 then invalid_arg "Dag.of_sorted_csr: succ_ptr must be non-empty";
@@ -300,20 +299,10 @@ let of_sorted_csr ?labels ?(verify_acyclic = true) ~succ_ptr ~succ_idx () =
     | Some ls ->
         if Array.length ls <> n then
           invalid_arg "Dag.of_sorted_csr: labels length mismatch";
-        Array.copy ls
+        ls
     | None -> Array.make n None
   in
-  let g =
-    {
-      n;
-      m;
-      succ_ptr = Array.copy succ_ptr;
-      succ_idx = Array.copy succ_idx;
-      pred_ptr;
-      pred_idx;
-      labels;
-    }
-  in
+  let g = { n; m; succ_ptr; succ_idx; pred_ptr; pred_idx; labels } in
   if verify_acyclic then verify_acyclic_exn ~who:"of_sorted_csr" g;
   g
 

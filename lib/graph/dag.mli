@@ -113,8 +113,10 @@ val of_sorted_csr :
     (strictness rules out duplicate edges).  Validates range, self-loops
     and bucket order — and acyclicity unless [~verify_acyclic:false] — in
     [O(n + m)] with no hashing, so it scales to the out-of-core loader's
-    million-vertex graphs.  The arrays are copied.  Raises
-    [Invalid_argument] on any violation. *)
+    million-vertex graphs.  The graph takes ownership of [succ_ptr],
+    [succ_idx] and [labels] instead of copying them: pass fresh arrays
+    and do not mutate them afterwards.  Raises [Invalid_argument] on any
+    violation. *)
 
 val disjoint_union : t -> t -> t
 (** [disjoint_union a b] — both graphs side by side, [b]'s vertices

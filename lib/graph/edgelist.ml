@@ -54,47 +54,80 @@ let to_string g =
 
 (* ------------------------------ reader ------------------------------- *)
 
-(* The hot record, ["e U V"]: blanks (spaces or tabs) before each id,
-   decimal ids with an optional ['-'], trailing text ignored.  [None] for
-   anything else, including an id whose magnitude exceeds [max_int]. *)
+(* A cursor over one record's fields, past its type letter.  Fields are
+   separated by blanks (spaces or tabs). *)
+type cursor = { line : string; mutable pos : int }
+
+let is_blank ch = ch = ' ' || ch = '\t'
+
+let skip_blanks c =
+  while c.pos < String.length c.line && is_blank c.line.[c.pos] do
+    c.pos <- c.pos + 1
+  done
+
+(* The blanks before it, then a decimal id with an optional ['-'] (no
+   ['+'], no ['_']).  [Exit] when no digit follows or the magnitude
+   exceeds [max_int]. *)
+let id c =
+  skip_blanks c;
+  let line = c.line and len = String.length c.line in
+  let neg = c.pos < len && line.[c.pos] = '-' in
+  if neg then c.pos <- c.pos + 1;
+  let start = c.pos and v = ref 0 in
+  while c.pos < len && line.[c.pos] >= '0' && line.[c.pos] <= '9' do
+    v := (!v * 10) + (Char.code line.[c.pos] - Char.code '0');
+    c.pos <- c.pos + 1
+  done;
+  let digits = c.pos - start in
+  if digits = 0 then raise Exit;
+  (* 18 digits cannot pass [max_int]; a longer id is parsed again, with
+     the overflow check *)
+  let v =
+    if digits <= 18 then !v
+    else
+      match int_of_string_opt (String.sub line start digits) with
+      | Some v -> v
+      | None -> raise Exit
+  in
+  if neg then -v else v
+
+(* [Exit] unless the cursor stands at a blank or the end of the line. *)
+let field_end c =
+  if c.pos < String.length c.line && not (is_blank c.line.[c.pos]) then
+    raise Exit
+
+(* The blanks before it, then everything up to the next blank: empty at
+   the end of the line. *)
+let word c =
+  skip_blanks c;
+  let start = c.pos in
+  while c.pos < String.length c.line && not (is_blank c.line.[c.pos]) do
+    c.pos <- c.pos + 1
+  done;
+  String.sub c.line start (c.pos - start)
+
+(* The hot record, ["e U V"]; text after the second id is ignored.
+   [None] when malformed. *)
 let parse_edge line =
-  let len = String.length line in
-  let pos = ref 1 in
-  let skip_blanks () =
-    while !pos < len && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let id () =
-    let neg = !pos < len && line.[!pos] = '-' in
-    if neg then incr pos;
-    let start = !pos and v = ref 0 in
-    while !pos < len && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      v := (!v * 10) + (Char.code line.[!pos] - Char.code '0');
-      incr pos
-    done;
-    let digits = !pos - start in
-    if digits = 0 then raise Exit;
-    (* 18 digits cannot pass [max_int]; a longer id is parsed again,
-       with the overflow check *)
-    let v =
-      if digits <= 18 then !v
-      else
-        match int_of_string_opt (String.sub line start digits) with
-        | Some v -> v
-        | None -> raise Exit
-    in
-    if neg then -v else v
-  in
+  let c = { line; pos = 1 } in
   match
-    skip_blanks ();
-    let u = id () in
-    if !pos >= len || (line.[!pos] <> ' ' && line.[!pos] <> '\t') then
-      raise Exit;
-    skip_blanks ();
-    (u, id ())
+    let u = id c in
+    field_end c;
+    (u, id c)
   with
   | uv -> Some uv
+  | exception Exit -> None
+
+(* ["l V LABEL"], the label still percent-escaped; text after it is
+   ignored.  [None] when malformed. *)
+let parse_label line =
+  let c = { line; pos = 1 } in
+  match
+    let v = id c in
+    field_end c;
+    (v, word c)
+  with
+  | vl -> Some vl
   | exception Exit -> None
 
 (* Two streaming passes over [lines], which replays the input's raw lines
@@ -149,10 +182,9 @@ let read ?too_large ~prefix lines =
                   match on_label with
                   | None -> ()
                   | Some on_label -> (
-                      match Scanf.sscanf line "l %d %s" (fun v l -> (v, l)) with
-                      | exception (Scanf.Scan_failure _ | End_of_file) ->
-                          fail_at lineno "malformed label"
-                      | v, l -> (
+                      match parse_label line with
+                      | None -> fail_at lineno "malformed label"
+                      | Some (v, l) -> (
                           if v < 0 || v >= n then
                             fail_at lineno "label vertex out of range";
                           match percent_unescape l with
@@ -166,7 +198,7 @@ let read ?too_large ~prefix lines =
     | Some (n, m) -> (n, m, !edges_seen)
   in
   (* pass 1: sizes, out-degrees, labels *)
-  let labels = Hashtbl.create 16 and deg = ref (Csr32.create 0) in
+  let labels = ref [] and deg = ref (Csr32.create 0) in
   let n, m, edges_seen =
     scan
       ~on_sizes:(fun lineno n m ->
@@ -179,7 +211,7 @@ let read ?too_large ~prefix lines =
                    "graph too large for int32 indices (n=%d, m=%d)" n m)
         end;
         deg := Csr32.create (n + 1))
-      ~on_label:(Hashtbl.replace labels)
+      ~on_label:(fun v l -> labels := (v, l) :: !labels)
       (fun _ u _ ->
         let d = !deg in
         d.{u} <- Int32.succ d.{u})
@@ -211,10 +243,26 @@ let read ?too_large ~prefix lines =
       Array.iteri (fun k w -> idx.{lo + k} <- w) row
     end
   done;
-  let labels = Array.of_seq (Hashtbl.to_seq labels) in
-  (* merge sort: a million labels sort measurably faster than with
-     [Array.sort]'s heap sort *)
-  Array.stable_sort (fun (a, _) (b, _) -> compare a b) labels;
+  (* Labels in line order, where a repeated vertex's last label wins.
+     Text this module writes lists them ascending, so the common case
+     costs one scan; otherwise a stable sort keeps each vertex's labels
+     in line order and the last of each run is kept. *)
+  let labels = Array.of_list (List.rev !labels) in
+  let ascending = ref true in
+  for i = 1 to Array.length labels - 1 do
+    if fst labels.(i - 1) >= fst labels.(i) then ascending := false
+  done;
+  let labels =
+    if !ascending then labels
+    else begin
+      Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) labels;
+      let last = Array.length labels - 1 in
+      Array.of_list
+        (List.filteri
+           (fun i (v, _) -> i = last || fst labels.(i + 1) <> v)
+           (Array.to_list labels))
+    end
+  in
   let csr = { Csr32.n; m; ptr; idx; labels } in
   match Csr32.check csr with
   | None -> csr

@@ -11,14 +11,17 @@
     spaces.
 
     One reader serves {!of_string}, {!of_file} and the binary store's
-    converter.  Lines are trimmed; blank and [#] lines are skipped.  In an
-    [e] record, spaces or tabs separate the fields, each id is decimal
-    with an optional leading [-] (no [+], no [_]), an id beyond [max_int]
-    makes the record malformed, and text after the second id is ignored.
-    The header, size and [l] lines are read with [Scanf] (["n %d m %d"],
-    ["l %d %s"]).  The reader checks counts, ranges, self-loops,
-    duplicate edges and acyclicity, and every message names its line
-    where there is one. *)
+    converter.  Lines are trimmed; blank and [#] lines are skipped.  In
+    [e] and [l] records, spaces or tabs separate the fields, each id is
+    decimal with an optional leading [-] (no [+], no [_]), and an id
+    beyond [max_int] makes the record malformed.  An [e] record's first
+    id and an [l] record's id must end at a blank (or, for [l], at the
+    end of the line); text after an [e] record's second id is ignored.
+    An [l] record's label runs to the next blank, is empty when the line
+    ends after the id, and text after it is ignored.  The header and size
+    lines are read with [Scanf] (["n %d m %d"]).  The reader checks
+    counts, ranges, self-loops, duplicate edges and acyclicity, and every
+    message names its line where there is one. *)
 
 val percent_escape : string -> string
 (** Escape spaces, [%], and control bytes as [%XX] — how labels are

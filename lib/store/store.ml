@@ -1,4 +1,5 @@
 open Graphio_graph
+module Fnv1a = Graphio_obs.Fnv1a
 
 type error =
   | Io_error of string
@@ -48,96 +49,8 @@ let c_loads = Graphio_obs.Metrics.counter "store.loads"
 let c_writes = Graphio_obs.Metrics.counter "store.writes"
 let c_errors = Graphio_obs.Metrics.counter "store.errors"
 
-(* ----------------------------- checksums ----------------------------- *)
-
-(* FNV-1a, the hash family shared by Dag.fingerprint and the cache codec. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a_byte acc b =
-  Int64.mul (Int64.logxor acc (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv1a_bytes acc bytes off len =
-  let acc = ref acc in
-  for i = off to off + len - 1 do
-    acc := fnv1a_byte !acc (Char.code (Bytes.get bytes i))
-  done;
-  !acc
-
-(* ------------------------------- types ------------------------------- *)
-
-type words =
-  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type t = {
-  path : string;
-  n : int;
-  m : int;
-  words : words;  (** header + succ_ptr + succ_idx as int32 words *)
-  labels : (int * string) array;  (** ascending vertex order *)
-}
-
-let ptr t i = Int32.to_int t.words.{7 + i}
-let idx t k = Int32.to_int t.words.{7 + t.n + 1 + k}
-
-let path t = t.path
-let n_vertices t = t.n
-let n_edges t = t.m
-
-let out_degree t v =
-  if v < 0 || v >= t.n then
-    invalid_arg (Printf.sprintf "Store.out_degree: vertex %d out of range" v);
-  ptr t (v + 1) - ptr t v
-
-let iter_succ t v f =
-  if v < 0 || v >= t.n then
-    invalid_arg (Printf.sprintf "Store.iter_succ: vertex %d out of range" v);
-  for k = ptr t v to ptr t (v + 1) - 1 do
-    f (idx t k)
-  done
-
-let iter_edges t f =
-  for u = 0 to t.n - 1 do
-    for k = ptr t u to ptr t (u + 1) - 1 do
-      f u (idx t k)
-    done
-  done
-
-let max_out_degree t =
-  let best = ref 0 in
-  for v = 0 to t.n - 1 do
-    best := max !best (out_degree t v)
-  done;
-  !best
-
-let label t v =
-  if v < 0 || v >= t.n then
-    invalid_arg (Printf.sprintf "Store.label: vertex %d out of range" v);
-  let lo = ref 0 and hi = ref (Array.length t.labels - 1) in
-  let found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let u, l = t.labels.(mid) in
-    if u = v then begin
-      found := Some l;
-      lo := !hi + 1
-    end
-    else if u < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let fingerprint t =
-  let h = ref fnv_offset in
-  let mix v = h := Int64.mul (Int64.logxor !h v) fnv_prime in
-  (* identical mixing to Dag.fingerprint: n, m, then CSR-ordered edges,
-     one whole-int64 FNV step per value *)
-  mix (Int64.of_int t.n);
-  mix (Int64.of_int t.m);
-  iter_edges t (fun u v ->
-      mix (Int64.of_int u);
-      mix (Int64.of_int v));
-  !h
+(* A loaded store is the CSR view of its mapped index region. *)
+type t = Csr32.t
 
 (* ------------------------------ sniffing ------------------------------ *)
 
@@ -209,11 +122,11 @@ let write_csr file (g : Csr32.t) =
     Bytes.set_int32_le hdr 8 (Int32.of_int n);
     Bytes.set_int32_le hdr 12 (Int32.of_int m);
     Bytes.set_int32_le hdr 16 (Int32.of_int (Array.length labels));
-    Bytes.set_int64_le hdr 20 (fnv1a_bytes fnv_offset hdr 0 20);
+    Bytes.set_int64_le hdr 20 (Fnv1a.bytes Fnv1a.offset hdr 0 20);
     emit hdr header_len;
-    let crc = ref fnv_offset and chunk = Bytes.create 65536 and filled = ref 0 in
+    let crc = ref Fnv1a.offset and chunk = Bytes.create 65536 and filled = ref 0 in
     let flush () =
-      crc := fnv1a_bytes !crc chunk 0 !filled;
+      crc := Fnv1a.bytes !crc chunk 0 !filled;
       emit chunk !filled;
       filled := 0
     in
@@ -294,7 +207,7 @@ let verify_body_crc ic ~size =
   in
   seek_in ic header_len;
   let chunk = Bytes.create 65536 in
-  let acc = ref fnv_offset in
+  let acc = ref Fnv1a.offset in
   let pos = ref 0 in
   (try
      while !pos < readable do
@@ -306,7 +219,7 @@ let verify_body_crc ic ~size =
            Bytes.set chunk i
              (Char.chr (Char.code (Bytes.get chunk i) lxor mask))
        | _ -> ());
-       acc := fnv1a_bytes !acc chunk 0 want;
+       acc := Fnv1a.bytes !acc chunk 0 want;
        pos := !pos + want
      done
    with End_of_file | Sys_error _ ->
@@ -374,20 +287,10 @@ let map_words file ~total_words =
               done;
               w))
 
-(* The index region as a CSR, viewed in place. *)
-let csr t =
-  {
-    Csr32.n = t.n;
-    m = t.m;
-    ptr = Bigarray.Array1.sub t.words 7 (t.n + 1);
-    idx = Bigarray.Array1.sub t.words (8 + t.n) t.m;
-    labels = t.labels;
-  }
-
 (* Structural validation: the checksums prove the bytes are the writer's,
    this proves the writer's claims are a graph. *)
 let validate t =
-  match Csr32.check (csr t) with
+  match Csr32.check t with
   | None -> ()
   | Some d -> fail (Malformed (Csr32.describe d))
 
@@ -444,7 +347,7 @@ let load file =
         not
           (Int64.equal
              (Bytes.get_int64_le hdr 20)
-             (fnv1a_bytes fnv_offset hdr 0 20))
+             (Fnv1a.bytes Fnv1a.offset hdr 0 20))
       then begin
         Graphio_obs.Metrics.incr c_errors;
         fail (Checksum_mismatch { region = "header" })
@@ -465,7 +368,16 @@ let load file =
           ~lab_len:(size - idx_end - crc_len)
       in
       let words = map_words file ~total_words:(7 + (n + 1) + m) in
-      let t = { path = file; n; m; words; labels } in
+      (* the index region as a CSR, viewed in place *)
+      let t =
+        {
+          Csr32.n;
+          m;
+          ptr = Bigarray.Array1.sub words 7 (n + 1);
+          idx = Bigarray.Array1.sub words (8 + n) m;
+          labels;
+        }
+      in
       (match validate t with
       | () -> ()
       | exception Error e ->
@@ -474,79 +386,8 @@ let load file =
       Graphio_obs.Metrics.incr c_loads;
       t)
 
-(* ------------------------------ to_dag ------------------------------- *)
+(* ---------------------------- graph views ----------------------------- *)
 
-let to_dag t = Csr32.to_dag (csr t)
+let to_dag = Csr32.to_dag
 
-(* ---------------------------- components ----------------------------- *)
-
-let components t =
-  let n = t.n in
-  let parent = Array.init n Fun.id in
-  let find i =
-    let i = ref i in
-    while parent.(!i) <> !i do
-      parent.(!i) <- parent.(parent.(!i));
-      i := parent.(!i)
-    done;
-    !i
-  in
-  iter_edges t (fun u v ->
-      let ru = find u and rv = find v in
-      if ru <> rv then
-        (* union by smaller root: every root stays the smallest vertex of
-           its component, matching Component.components id order *)
-        if ru < rv then parent.(rv) <- ru else parent.(ru) <- rv);
-  let comp = Array.make n (-1) in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    let r = find v in
-    if comp.(r) = -1 then begin
-      comp.(r) <- !next;
-      incr next
-    end;
-    comp.(v) <- comp.(r)
-  done;
-  comp
-
-let component_count t =
-  if t.n = 0 then 0 else Array.fold_left max (-1) (components t) + 1
-
-let component_dags t =
-  let comp = components t in
-  let count = Array.fold_left max (-1) comp + 1 in
-  if count <= 0 then [||]
-  else begin
-    let sizes = Array.make count 0 and edge_counts = Array.make count 0 in
-    Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
-    iter_edges t (fun u _ -> edge_counts.(comp.(u)) <- edge_counts.(comp.(u)) + 1);
-    let members = Array.map (fun s -> Array.make s 0) sizes in
-    let new_id = Array.make t.n 0 in
-    let vfill = Array.make count 0 in
-    for v = 0 to t.n - 1 do
-      let c = comp.(v) in
-      new_id.(v) <- vfill.(c);
-      members.(c).(vfill.(c)) <- v;
-      vfill.(c) <- vfill.(c) + 1
-    done;
-    let succ_ptrs = Array.map (fun s -> Array.make (s + 1) 0) sizes in
-    let succ_idxs = Array.map (fun e -> Array.make e 0) edge_counts in
-    let efill = Array.make count 0 in
-    for v = 0 to t.n - 1 do
-      let c = comp.(v) in
-      iter_succ t v (fun w ->
-          (* monotone relabeling keeps every row strictly ascending *)
-          succ_idxs.(c).(efill.(c)) <- new_id.(w);
-          efill.(c) <- efill.(c) + 1);
-      succ_ptrs.(c).(new_id.(v) + 1) <- efill.(c)
-    done;
-    let has_labels = Array.length t.labels > 0 in
-    Array.init count (fun c ->
-        let labels =
-          if not has_labels then None
-          else Some (Array.map (fun v -> label t v) members.(c))
-        in
-        ( Dag.of_sorted_csr ?labels ~verify_acyclic:false
-            ~succ_ptr:succ_ptrs.(c) ~succ_idx:succ_idxs.(c) (),
-          members.(c) ))
-  end
+let component_dags = Component.split_csr

@@ -1,13 +1,13 @@
 (** Binary CSR-on-disk graph storage.
 
-    The text edgelist tops out far below the million-vertex target: parsing
-    holds every line, every edge tuple and a duplicate-detection hashtable
-    in memory at once.  This module stores a frozen {!Graphio_graph.Dag.t}
-    as its successor CSR directly — int32 indices, little-endian, with a
-    checksummed header in the style of the spectrum cache's [GIORTZ]
-    records — so loading is one bounded verification pass plus an
-    [Unix.map_file] of the index region into a [Bigarray] (no per-edge
-    allocation at all).
+    Every load of a text edgelist parses the whole text again.  This
+    module stores a graph's successor CSR ({!Graphio_graph.Csr32.t})
+    directly — int32 indices, little-endian, with a checksummed header in
+    the style of the spectrum cache's [GIORTZ] records — so loading is one
+    bounded verification pass plus an [Unix.map_file] of the index region
+    into a [Bigarray] (no per-edge allocation at all).  A loaded store is
+    read whole through {!to_dag}, or split into its components in place
+    by {!component_dags}; it has no accessors of its own.
 
     {2 Record layout (little-endian)}
 
@@ -73,7 +73,8 @@ val is_store_file : string -> bool
 
 type t
 (** A loaded, fully verified store.  The index region stays backed by the
-    mapped file; accessors read it in place. *)
+    mapped file: {!component_dags} reads it in place, and {!to_dag}
+    copies it into an ordinary graph. *)
 
 val write_csr : string -> Graphio_graph.Csr32.t -> unit
 (** The one writer of the record: streams it out in 64 KiB chunks with
@@ -88,45 +89,16 @@ val write : string -> Graphio_graph.Dag.t -> unit
 val load : string -> t
 (** Verify end to end and map.  Raises {!Error} on any defect. *)
 
-val path : t -> string
-
-val n_vertices : t -> int
-
-val n_edges : t -> int
-
-val out_degree : t -> int -> int
-
-val iter_succ : t -> int -> (int -> unit) -> unit
-
-val iter_edges : t -> (int -> int -> unit) -> unit
-(** Iterate [(u, v)] in CSR order — identical to
-    {!Graphio_graph.Dag.iter_edges} on {!to_dag}. *)
-
-val max_out_degree : t -> int
-
-val label : t -> int -> string option
-
-val fingerprint : t -> int64
-(** Equal to [Dag.fingerprint (to_dag t)] without materializing the graph
-    — the store round-trips the solver's cache keys exactly. *)
-
 val to_dag : t -> Graphio_graph.Dag.t
 (** Materialize as an ordinary in-memory graph (already validated, so no
-    re-verification). *)
-
-val components : t -> int array
-(** Weakly-connected component id per vertex, in
-    {!Graphio_graph.Component.components} order (ids assigned by smallest
-    member vertex) — computed by union-find over the mapped edges, without
-    materializing the graph. *)
-
-val component_count : t -> int
+    re-verification): the one way to read a store's graph whole. *)
 
 val component_dags : t -> (Graphio_graph.Dag.t * int array) array
-(** Extract every component as its own in-memory graph plus the mapping
-    from component-local ids back to store ids, in {!components} order.
-    Per-component vertex order is ascending, so this matches
-    {!Graphio_graph.Component.split} on {!to_dag} structurally (equal
-    fingerprints per part) — the property the text-vs-binary bitwise
-    differential rests on.  Total allocation is one in-memory copy of the
-    graph, spread across the parts. *)
+(** {!Graphio_graph.Component.split_csr} of the mapped graph: every
+    weakly-connected component as its own in-memory graph plus the
+    mapping from component-local ids back to store ids, smallest store
+    vertex first — the same parts, maps and labels as
+    [Component.split (to_dag t)], which the text-vs-binary bitwise
+    differential rests on — without materializing the whole graph.
+    Total allocation is one in-memory copy of the graph, spread across
+    the parts. *)

@@ -221,6 +221,16 @@ let test_component_connected () =
   Alcotest.(check bool) "empty connected" true
     (Component.is_connected (Dag.of_edges ~n:0 []))
 
+let test_component_split_connected () =
+  let g = chain 10 in
+  (match Component.split g with
+  | [| (part, back) |] ->
+      Alcotest.(check bool) "the graph itself" true (part == g);
+      Alcotest.(check (array int)) "identity map" (Array.init 10 Fun.id) back
+  | parts -> Alcotest.failf "%d parts" (Array.length parts));
+  Alcotest.(check int) "empty graph: no parts" 0
+    (Array.length (Component.split (Dag.of_edges ~n:0 [])))
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -388,6 +398,22 @@ let test_edgelist_error_messages () =
         "Edgelist: graph has a cycle" );
     ]
 
+(* [l] records in any order, tab-separated or empty; a repeated vertex
+   keeps its last label *)
+let test_edgelist_label_records () =
+  List.iter
+    (fun (name, body, expected) ->
+      let g = Edgelist.of_string ("graphio 1\nn 4 m 0\n" ^ body) in
+      Alcotest.(check (list (option string)))
+        name expected
+        (List.init 4 (Dag.label g)))
+    [
+      ("ascending", "l 0 a\nl 2 b%20c\n", [ Some "a"; None; Some "b c"; None ]);
+      ( "unordered with repeats",
+        "l 2 b\nl 0 a%20b\nl\t3\t\nl 0 c\nl 2 d x\n",
+        [ Some "c"; None; Some "d"; Some "" ] );
+    ]
+
 let test_edgelist_of_file_prefixes_path () =
   let path = Filename.temp_file "graphio_bad" ".txt" in
   Fun.protect
@@ -435,21 +461,21 @@ let test_store_roundtrip_labeled () =
   with_tmp_store (fun path ->
       Store.write path g;
       Alcotest.(check bool) "sniffs as store" true (Store.is_store_file path);
-      let t = Store.load path in
-      Alcotest.(check int) "n" 4 (Store.n_vertices t);
-      Alcotest.(check int) "m" 4 (Store.n_edges t);
-      Alcotest.(check int) "out_degree 0" 2 (Store.out_degree t 0);
-      Alcotest.(check int) "max_out_degree" 2 (Store.max_out_degree t);
-      Alcotest.(check (option string)) "label 1" (Some "50%") (Store.label t 1);
-      Alcotest.(check (option string)) "label 2" (Some "") (Store.label t 2);
+      let g' = Store.to_dag (Store.load path) in
+      Alcotest.(check int) "n" 4 (Dag.n_vertices g');
+      Alcotest.(check int) "m" 4 (Dag.n_edges g');
+      Alcotest.(check int) "out_degree 0" 2 (Dag.out_degree g' 0);
+      Alcotest.(check int) "max_out_degree" 2 (Dag.max_out_degree g');
+      Alcotest.(check (option string)) "label 1" (Some "50%") (Dag.label g' 1);
+      Alcotest.(check (option string)) "label 2" (Some "") (Dag.label g' 2);
       Alcotest.(check int64)
         "store fingerprint = dag fingerprint" (Dag.fingerprint g)
-        (Store.fingerprint t);
+        (Dag.fingerprint g');
       let seen = ref [] in
-      Store.iter_edges t (fun u v -> seen := (u, v) :: !seen);
+      Dag.iter_edges g' (fun u v -> seen := (u, v) :: !seen);
       Alcotest.(check (list (pair int int)))
         "iter_edges in CSR order" (Dag.edges g) (List.rev !seen);
-      check_same_graph "to_dag" g (Store.to_dag t))
+      check_same_graph "to_dag" g g')
 
 let test_store_roundtrip_degenerate () =
   List.iter
@@ -482,8 +508,8 @@ let test_store_component_dags () =
   with_tmp_store (fun path ->
       Store.write path g;
       let t = Store.load path in
-      Alcotest.(check int) "component count" 3 (Store.component_count t);
       let from_store = Store.component_dags t in
+      Alcotest.(check int) "component count" 3 (Array.length from_store);
       let from_split = Component.split (Store.to_dag t) in
       Alcotest.(check int) "same part count" (Array.length from_split)
         (Array.length from_store);
@@ -529,8 +555,7 @@ let prop_store_roundtrip =
           Store.write path g;
           let t = Store.load path in
           let g' = Store.to_dag t in
-          Store.fingerprint t = Dag.fingerprint g
-          && Dag.fingerprint g' = Dag.fingerprint g
+          Dag.fingerprint g' = Dag.fingerprint g
           && Dag.edges g' = Dag.edges g
           && Dag.n_vertices g' = Dag.n_vertices g))
 
@@ -609,22 +634,84 @@ let prop_store_label_roundtrip =
                (fun v -> Dag.label g v = Dag.label g' v)
                (List.init (Dag.n_vertices g) Fun.id)))
 
+(* The split as it was done before union-find: a DFS over successors and
+   predecessors for the components, then [Dag.induced_subgraph] (through
+   the Builder) on each member set. *)
+let oracle_split g =
+  let n = Dag.n_vertices g in
+  let comp = Array.make n (-1) and count = ref 0 in
+  for v = 0 to n - 1 do
+    if comp.(v) = -1 then begin
+      let id = !count and stack = Stack.create () in
+      incr count;
+      comp.(v) <- id;
+      Stack.push v stack;
+      while not (Stack.is_empty stack) do
+        let visit w =
+          if comp.(w) = -1 then begin
+            comp.(w) <- id;
+            Stack.push w stack
+          end
+        in
+        let u = Stack.pop stack in
+        Dag.iter_succ g u visit;
+        Dag.iter_pred g u visit
+      done
+    end
+  done;
+  Array.init !count (fun c ->
+      Dag.induced_subgraph g
+        (Array.of_list (List.filter (fun v -> comp.(v) = c) (List.init n Fun.id))))
+
+let same_parts a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (p, back) (q, back') ->
+         Dag.fingerprint p = Dag.fingerprint q
+         && back = back'
+         && List.for_all
+              (fun v -> Dag.label p v = Dag.label q v)
+              (List.init (Dag.n_vertices p) Fun.id))
+       a b
+
+(* [g] with vertex [v] renamed [perm.(v)], labels following their vertex *)
+let permute g perm =
+  let inv = Array.make (Dag.n_vertices g) 0 in
+  Array.iteri (fun v p -> inv.(p) <- v) perm;
+  let b = Dag.Builder.create () in
+  Array.iter (fun v -> ignore (Dag.Builder.add_vertex ?label:(Dag.label g v) b)) inv;
+  Dag.iter_edges g (fun u v -> Dag.Builder.add_edge b perm.(u) perm.(v));
+  Dag.Builder.build b
+
+(* Labeled ER graphs, copies of them, an unlabeled ER graph and isolated
+   vertices, joined and then shuffled so that components interleave in
+   vertex order. *)
+let disconnected_gen =
+  QCheck2.Gen.(
+    let* g = labeled_er_gen in
+    let* copies = int_range 1 3 in
+    let* h = er_gen in
+    let* isolated = int_range 0 4 in
+    let u =
+      Dag.disjoint_union
+        (Dag.disjoint_union (Dag.replicate g ~copies) h)
+        (Dag.of_edges ~n:isolated [])
+    in
+    let* perm = shuffle_a (Array.init (Dag.n_vertices u) Fun.id) in
+    return (permute u perm))
+
+let prop_split_matches_oracle =
+  QCheck2.Test.make ~name:"split = DFS + induced_subgraph oracle" ~count:100
+    disconnected_gen (fun g -> same_parts (Component.split g) (oracle_split g))
+
 let prop_store_union_components =
-  QCheck2.Test.make ~name:"store recovers replicated components" ~count:20
-    QCheck2.Gen.(pair er_gen (int_range 2 4))
-    (fun (g, copies) ->
-      let u = Dag.replicate g ~copies in
+  QCheck2.Test.make ~name:"store recovers replicated components" ~count:30
+    disconnected_gen (fun g ->
       with_tmp_store (fun path ->
-          Store.write path u;
+          Store.write path g;
           let t = Store.load path in
-          let parts = Store.component_dags t in
-          let split = Component.split u in
-          Store.component_count t = Component.count u
-          && Store.fingerprint t = Dag.fingerprint u
-          && Array.length parts = Array.length split
-          && Array.for_all2
-               (fun (a, _) (b, _) -> Dag.fingerprint a = Dag.fingerprint b)
-               parts split))
+          Dag.fingerprint (Store.to_dag t) = Dag.fingerprint g
+          && same_parts (Store.component_dags t) (Component.split g)))
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -637,6 +724,7 @@ let props =
       prop_reverse_involution;
       prop_store_roundtrip;
       prop_store_label_roundtrip;
+      prop_split_matches_oracle;
       prop_store_union_components;
     ]
 
@@ -681,6 +769,8 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_component_counts;
           Alcotest.test_case "connected" `Quick test_component_connected;
+          Alcotest.test_case "connected graph splits to itself" `Quick
+            test_component_split_connected;
         ] );
       ( "stats",
         [
@@ -710,6 +800,8 @@ let () =
             test_edgelist_error_messages;
           Alcotest.test_case "edgelist of_file prefixes path" `Quick
             test_edgelist_of_file_prefixes_path;
+          Alcotest.test_case "edgelist label records" `Quick
+            test_edgelist_label_records;
         ] );
       ( "store",
         [

@@ -14,6 +14,35 @@ let test_clock_monotone () =
   Alcotest.(check bool) "duration non-negative" true (dt >= 0.0)
 
 (* ------------------------------------------------------------------ *)
+(* FNV-1a                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_fnv1a_vectors () =
+  (* the published FNV-1a-64 test vectors *)
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int64) (Printf.sprintf "%S" s) h (Fnv1a.string s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ];
+  Alcotest.(check int64) "bytes folds a slice like string"
+    (Fnv1a.string "oob")
+    (Fnv1a.bytes Fnv1a.offset (Bytes.of_string "foobar") 1 3)
+
+(* Every hash built on it, pinned to its value before the one shared
+   step existed, so that a drift in graph fingerprints (hence cache keys)
+   or in the cache's parameter digest fails here.  The store's checksums
+   are pinned by test/store's own FNV copy. *)
+let test_fnv1a_pinned_users () =
+  Alcotest.(check int64) "Dag.fingerprint (Fft.build 4)" 0xa19d0089224cdd0dL
+    (Graphio_graph.Dag.fingerprint (Graphio_workloads.Fft.build 4));
+  Alcotest.(check int64) "default Spectrum.params_digest" 0x9ac5e12119fd3f85L
+    (Graphio_cache.Spectrum.params_digest ~dense_threshold:None ~tol:None
+       ~seed:None ~filter_degree:None)
+
+(* ------------------------------------------------------------------ *)
 (* Jsonx                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -458,6 +487,11 @@ let () =
   Alcotest.run "graphio_obs"
     [
       ("clock", [ Alcotest.test_case "monotone" `Quick test_clock_monotone ]);
+      ( "fnv1a",
+        [
+          Alcotest.test_case "published vectors" `Quick test_fnv1a_vectors;
+          Alcotest.test_case "pinned users" `Quick test_fnv1a_pinned_users;
+        ] );
       ( "jsonx",
         [
           Alcotest.test_case "round trip" `Quick test_jsonx_round_trip;

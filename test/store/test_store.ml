@@ -349,6 +349,15 @@ let test_convert_line_errors () =
       ( "bad escape",
         "graphio 1\nn 2 m 0\nl 0 a%zz\n",
         Some "line 3: malformed label" );
+      ( "label id runs into text",
+        "graphio 1\nn 2 m 0\nl 1x y\n",
+        Some "line 3: malformed label" );
+      ( "label plus sign",
+        "graphio 1\nn 2 m 0\nl +1 x\n",
+        Some "line 3: malformed label" );
+      ( "label underscore",
+        "graphio 1\nn 2 m 0\nl 0_1 x\n",
+        Some "line 3: malformed label" );
       ( "label range",
         "graphio 1\nn 2 m 0\nl 7 far\n",
         Some "line 3: label vertex out of range" );
